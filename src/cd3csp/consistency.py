@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .algebra import restrict
 from .errors import EmptyDomain
@@ -22,7 +23,6 @@ from .relation import (
     Instance,
     Relation,
     Signature,
-    natural_join,
     project,
 )
 
@@ -98,49 +98,50 @@ def k_minimalize(inst: Instance, k: int) -> MinimalizedInstance:
     ]
     subsets_by_size.sort(key=lambda s: (len(s), s))
 
-    for I in subsets_by_size:
-        covers = [s for s in base_scopes if set(I) <= set(s)]
-        if covers:
-            acc = None
-            for s in covers:
-                p = project(merged[s], _positions(s, I))
-                acc = p if acc is None else _intersect(acc, p)
-            rels[("e", I)] = acc
-        elif len(I) == 1:
-            rels[("e", I)] = Relation.full((sizes[I[0]],))
-        else:
-            # no covering constraint: join the already-seeded smaller entries
-            scope_acc, acc = (I[0],), rels[("e", (I[0],))]
-            for v in I[1:]:
-                scope_acc, acc = natural_join(acc, scope_acc, rels[("e", (v,))], (v,))
-            for r in range(2, len(I)):
-                for J in itertools.combinations(I, r):
-                    keep = tuple(
-                        t
-                        for t in acc.tuples
-                        if tuple(t[I.index(w)] for w in J) in rels[("e", J)]
-                    )
-                    acc = Relation(acc.sizes, keep)
-            rels[("e", I)] = acc
-
+    # One pass over each relation's own subsets: subs maps the entries a
+    # relation projects onto to their positions in its scope, cover lists
+    # (in cids order) the relations whose scope contains a subset, base
+    # scopes first.
     cids = [("b", s) for s in base_scopes] + [("e", I) for I in subsets_by_size]
     scope_of = {cid: cid[1] for cid in cids}
     subs: dict = {}
-    for cid in cids:
-        s = scope_of[cid]
-        out = []
-        for r in range(1, min(level, len(s)) + 1):
-            for I in itertools.combinations(s, r):
-                if cid == ("e", I):
-                    continue
-                out.append(I)
-        subs[cid] = out
     cover: dict = {I: [] for I in subsets_by_size}
     for cid in cids:
-        s = set(scope_of[cid])
-        for I in subsets_by_size:
-            if set(I) <= s:
+        s = scope_of[cid]
+        out = {}
+        for r in range(1, min(level, len(s)) + 1):
+            for pos in itertools.combinations(range(len(s)), r):
+                I = tuple(s[q] for q in pos)
                 cover[I].append(cid)
+                if cid != ("e", I):
+                    out[I] = pos
+        subs[cid] = out
+
+    for I in subsets_by_size:
+        covers = [cid[1] for cid in cover[I] if cid[0] == "b"]
+        if covers:
+            acc = None
+            for s in covers:
+                pos = subs[("b", s)][I]
+                p = {tuple(t[q] for q in pos) for t in merged[s].tuples}
+                acc = p if acc is None else acc & p
+        elif len(I) == 1:
+            acc = [(x,) for x in range(sizes[I[0]])]
+        else:
+            # no covering constraint: the product of the unary entries,
+            # filtered by the already-seeded entries on proper subsets
+            values = [[x for (x,) in rels[("e", (v,))].tuples] for v in I]
+            checks = [
+                (itemgetter(*pos), rels[("e", tuple(I[q] for q in pos))])
+                for r in range(2, len(I))
+                for pos in itertools.combinations(range(len(I)), r)
+            ]
+            acc = [
+                t
+                for t in itertools.product(*values)
+                if all(get(t) in E for get, E in checks)
+            ]
+        rels[("e", I)] = Relation(tuple(sizes[v] for v in I), tuple(acc))
 
     def finish(empty_scope):
         base = Instance(
@@ -157,13 +158,19 @@ def k_minimalize(inst: Instance, k: int) -> MinimalizedInstance:
 
     queue = deque((cid, I) for cid in cids for I in subs[cid])
     pending = set(queue)
+
+    def push(item):
+        if item not in pending:
+            pending.add(item)
+            queue.append(item)
+
     while queue:
         cid, I = queue.popleft()
         pending.discard((cid, I))
         R = rels[cid]
         ekey = ("e", I)
         E = rels[ekey]
-        pos = _positions(scope_of[cid], I)
+        pos = subs[cid][I]
         keep = tuple(t for t in R.tuples if tuple(t[p] for p in pos) in E)
         changed_r = len(keep) < len(R.tuples)
         if changed_r:
@@ -176,11 +183,6 @@ def k_minimalize(inst: Instance, k: int) -> MinimalizedInstance:
             rels[ekey] = Relation(E.sizes, tuple(proj_set))
             if not proj_set:
                 return finish(I)
-
-        def push(item):
-            if item not in pending:
-                pending.add(item)
-                queue.append(item)
 
         if changed_r:
             for J in subs[cid]:

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import Algebra, is_simple, subuniverse_closure
-from .consistency import KSystem
+from .consistency import KSystem, _positions
 from .errors import (
     Cd3Violation,
     InvarianceViolation,
@@ -22,10 +22,6 @@ from .errors import (
     NotSubdirect,
 )
 from .relation import Relation, is_invariant, is_subdirect, project
-
-
-def _positions(scope, subset):
-    return tuple(scope.index(v) for v in subset)
 
 
 def mult(alg: Algebra, x: int, y: int) -> int:

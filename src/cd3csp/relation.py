@@ -112,30 +112,75 @@ def natural_join(r1: Relation, scope1, r2: Relation, scope2):
     return out_scope, Relation(sizes, tuple(out))
 
 
-def is_invariant(rel: Relation, algs) -> bool:
-    """Whether every stored operation, applied coordinatewise, maps the
-    relation into itself.  One algebra per coordinate, same op names."""
-    algs = tuple(algs)
-    if len(algs) != rel.arity:
-        raise ValueError("one algebra per coordinate required")
-    names = algs[0].op_names()
+def _op_tables(algs):
+    """(arity, per-coordinate tables) for each operation the algebras share.
+
+    Raises ValueError unless every coordinate algebra has the same
+    operation names, each with one arity across all coordinates.
+    """
+    names = algs[0].op_names() if algs else ()
     for a in algs[1:]:
         if a.op_names() != names:
             raise ValueError("coordinate algebras must share operation names")
+    ops = []
+    for name in names:
+        tables = tuple(a.op(name) for a in algs)
+        arities = {t.arity for t in tables}
+        if len(arities) != 1:
+            raise ValueError(
+                f"operation {name!r} has differing arities {sorted(arities)} across coordinates"
+            )
+        ops.append((tables[0].arity, tuple(t.table for t in tables)))
+    return ops
+
+
+def _images(tables, sizes, pools):
+    """Images of the argument lists in pools[0] x pools[1] x ..., one chunk
+    per row of pools[0].
+
+    A chunk is an iterator of image tuples in itertools.product order.  It
+    is computed column by column: per coordinate, one list of table indices
+    built from the other pools' columns, then one lookup pass, and the
+    coordinate columns are zipped into tuples.  Every row value must lie in
+    range for its coordinate's table, so that index arithmetic never wraps
+    into a wrong cell.
+    """
+    first, rest = pools[0], pools[1:]
+    if not all(rest):
+        return
+    rest_cols = [tuple(zip(*pool)) for pool in rest]
+    coords = tuple(zip(range(len(sizes)), sizes, tables))
+    for row in first:
+        cols = []
+        for c, s, table in coords:
+            idx = [row[c]]
+            for pool_cols in rest_cols:
+                col = pool_cols[c]
+                idx = [i * s + x for i in idx for x in col]
+            cols.append([table[i] for i in idx])
+        yield zip(*cols)
+
+
+def is_invariant(rel: Relation, algs) -> bool:
+    """Whether every stored operation, applied coordinatewise, maps the
+    relation into itself.  One algebra per coordinate, same op names, each
+    operation with one arity across the coordinates.
+
+    Every argument list is checked: an m-ary operation costs |rel|^m
+    images.  Tuples of a Relation lie in range by construction and the
+    coordinate algebras must match its sizes, so the tables are indexed
+    directly.
+    """
+    algs = tuple(algs)
+    if len(algs) != rel.arity:
+        raise ValueError("one algebra per coordinate required")
+    ops = _op_tables(algs)
     for a, s in zip(algs, rel.sizes):
         if a.size != s:
             raise ValueError("coordinate algebra size does not match relation")
-    if rel.is_empty:
-        return True
-    for name in names:
-        tables = tuple(a.op(name) for a in algs)
-        m = tables[0].arity
-        for rows in itertools.product(rel.tuples, repeat=m):
-            image = tuple(
-                tables[c].apply(*(rows[i][c] for i in range(m)))
-                for c in range(rel.arity)
-            )
-            if image not in rel:
+    for m, tables in ops:
+        for chunk in _images(tables, rel.sizes, [rel.tuples] * m):
+            if not rel._set.issuperset(chunk):
                 return False
     return True
 
@@ -155,20 +200,18 @@ def is_subdirect(rel: Relation, algs) -> bool:
 def generated_subpower(algs, seeds) -> Relation:
     """Close a set of tuples under the coordinatewise operations.
 
-    Semi-naive rounds: each round only applies the operations to argument
-    tuples touching at least one element added in the previous round.
+    Semi-naive rounds: with `new` the tuples added in the previous round
+    and `old` the ones before, an m-ary operation is applied at each
+    position p to old rows before p, new rows at p and all rows after p.
+    Every argument list holding a new row is tried exactly once, at its
+    first new position, and no argument list is tried in two rounds, so
+    the whole closure costs at most |result|^m images per m-ary operation.
+    Seeds are range-checked, so the tables are indexed directly.
     """
     algs = tuple(algs)
     sizes = tuple(a.size for a in algs)
     width = len(algs)
-    names = algs[0].op_names() if algs else ()
-    for a in algs[1:]:
-        if a.op_names() != names:
-            raise ValueError("coordinate algebras must share operation names")
-    ops = []
-    for name in names:
-        tables = tuple(a.op(name) for a in algs)
-        ops.append((tables[0].arity, tuple(t.table for t in tables)))
+    ops = _op_tables(algs)
     current = set()
     for t in seeds:
         t = tuple(t)
@@ -178,26 +221,18 @@ def generated_subpower(algs, seeds) -> Relation:
             if not (0 <= v < s):
                 raise ValueError(f"seed tuple {t} out of domain range")
         current.add(t)
-    frontier = sorted(current)
-    while frontier:
-        snapshot = sorted(current)
-        added = []
+    old, new = [], list(current)
+    while new:
+        every = old + new
+        images = set()
         for m, tables in ops:
             for p in range(m):
-                pools = [frontier if i == p else snapshot for i in range(m)]
-                for rows in itertools.product(*pools):
-                    image = []
-                    for c in range(width):
-                        idx = 0
-                        sc = sizes[c]
-                        for r in rows:
-                            idx = idx * sc + r[c]
-                        image.append(tables[c][idx])
-                    image = tuple(image)
-                    if image not in current:
-                        current.add(image)
-                        added.append(image)
-        frontier = sorted(set(added))
+                pools = [old] * p + [new] + [every] * (m - 1 - p)
+                for chunk in _images(tables, sizes, pools):
+                    images.update(chunk)
+        old = every
+        new = list(images - current)
+        current.update(new)
     return Relation(sizes, tuple(current))
 
 

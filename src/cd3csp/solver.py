@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .algebra import (
     Congruence,
+    _UnionFind,
     check_cd3,
     is_simple,
     maximal_proper_congruence,
@@ -151,20 +152,13 @@ def almost_trivial_decomposition(rel: Relation) -> AlmostTrivialDecomposition:
                 f"projection onto coordinates ({i},{j}) is neither a bijection graph nor full"
             )
 
-    parent = list(range(m))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = _UnionFind(m)
     for (i, j), (kind, _) in shapes.items():
         if kind == "bijection":
-            parent[find(i)] = find(j)
+            uf.union(i, j)
     groups: dict[int, list] = {}
     for i in range(m):
-        groups.setdefault(find(i), []).append(i)
+        groups.setdefault(uf.find(i), []).append(i)
     classes = tuple(tuple(sorted(g)) for g in sorted(groups.values()))
 
     for cls in classes:
@@ -229,20 +223,13 @@ def base_case_solve(mi: MinimalizedInstance) -> tuple[int, ...]:
                 f"pair entry ({i},{j}) is neither a bijection graph nor full"
             )
 
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = _UnionFind(n)
     for (i, j), (kind, _) in shapes.items():
         if kind == "bijection":
-            parent[find(i)] = find(j)
+            uf.union(i, j)
     groups: dict[int, list] = {}
     for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+        groups.setdefault(uf.find(i), []).append(i)
 
     for g in groups.values():
         for i, j in itertools.combinations(sorted(g), 2):
@@ -278,10 +265,6 @@ def base_case_solve(mi: MinimalizedInstance) -> tuple[int, ...]:
         if tuple(sol[v] for v in I) not in rel:
             raise LemmaViolation(f"assembled assignment violates the entry on {I}")
     return sol
-
-
-def _identity_maps(mi: MinimalizedInstance):
-    return [tuple(range(a.size)) for a in mi.base.sig.domains]
 
 
 def _compose_maps(outer, inner):

@@ -20,6 +20,7 @@ from cd3csp import (
     make_subdirect,
     project,
     satisfies,
+    solve,
     switch_algebra,
 )
 
@@ -144,6 +145,52 @@ class TestFixpointProperties:
             assert set(top.tuples) == sols
             matched += 1
         assert matched
+
+
+# solve(inst) and k_minimalize(inst, 3) on gen_instance draws over
+# gen_cd3_algebra(seed=300 + i, size 3), 10 variables, 14 constraints with
+# seed 700 + i: (certificate, solution, total tuples over the k-system's
+# entries), recorded before the k-system set-up was rewritten.
+PINNED = (
+    (None, (2, 0, 1, 0, 0, 0, 0, 0, 0, 2), 1855),
+    ((5,), None, 434),
+    ((0, 3), None, 803),
+    (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 0), 3675),
+    ((2,), None, 180),
+    ((7,), None, 226),
+    (None, (1, 1, 0, 0, 0, 0, 1, 0, 0, 0), 580),
+    ((0,), None, 554),
+    ((6,), None, 395),
+    (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 0), 580),
+    ((2,), None, 1104),
+    (None, (0, 1, 0, 1, 0, 0, 0, 1, 1, 1), 1269),
+    ((0, 5), None, 2568),
+    (None, (0, 2, 0, 0, 0, 0, 0, 0, 0, 0), 933),
+    (None, (0, 0, 0, 0, 0, 0, 2, 2, 2, 2), 949),
+    (None, (2, 2, 2, 2, 2, 2, 0, 2, 2, 2), 806),
+    ((8,), None, 1140),
+    ((7,), None, 350),
+    ((3,), None, 730),
+    ((3, 8), None, 173),
+)
+
+
+class TestPinnedOutcomes:
+    def test_certificates_and_solutions_match_recorded_values(self):
+        for i, (certificate, solution, tuples) in enumerate(PINNED):
+            alg = gen_cd3_algebra(GeneratorConfig(seed=300 + i, domain_size=3))
+            cfg = GeneratorConfig(
+                seed=700 + i, domain_size=3, num_vars=10, num_constraints=14
+            )
+            inst = gen_instance(alg, cfg)
+            out = solve(inst)
+            assert (out.certificate, out.solution, out.fallback) == (
+                certificate,
+                solution,
+                False,
+            ), i
+            mi = k_minimalize(inst, 3)
+            assert sum(len(r) for r in mi.system.entries.values()) == tuples, i
 
 
 class TestIsKMinimal:

@@ -6,10 +6,12 @@ import random
 import pytest
 
 from cd3csp import (
+    Algebra,
     Constraint,
     GeneratorConfig,
     Instance,
     InvarianceViolation,
+    OperationTable,
     Relation,
     Signature,
     constraint_from_raw,
@@ -26,6 +28,25 @@ from cd3csp import (
 )
 
 from tests.conftest import EQ2, FULL2, NEQ2, brute_invariant, mk_instance
+
+
+def with_extra_ops(alg, rng):
+    """alg plus a unary and a random idempotent binary operation, so that
+    operations of arity 1 and 2 go through the coordinatewise kernel."""
+    n = alg.size
+    unary = OperationTable.from_function(n, 1, lambda x: x)
+    binary = OperationTable.from_function(
+        n, 2, lambda x, y: x if x == y else rng.randrange(n)
+    )
+    return Algebra(n, alg.ops + (("u", unary), ("b", binary)), alg.jonsson)
+
+
+def random_tuples(rng, sizes, expected=16):
+    """Each tuple of the product kept with probability 1/2, or less on big
+    products so that about `expected` tuples are kept."""
+    cells = list(itertools.product(*(range(s) for s in sizes)))
+    keep = min(0.5, expected / len(cells))
+    return tuple(t for t in cells if rng.random() < keep)
 
 
 class TestRelation:
@@ -133,23 +154,31 @@ class TestInvariance:
         assert not is_invariant(rel, (maj2,) * 3)
         assert not brute_invariant(rel, (maj2,) * 3)
 
-    def test_matches_brute_checker_on_random_relations(self):
+    def test_matches_brute_checker_on_random_relations(self, dd2, dd2sq):
         rng = random.Random(23)
         agree_true = agree_false = 0
-        for _ in range(60):
-            size = rng.choice((2, 3))
-            alg = gen_cd3_algebra(
-                GeneratorConfig(seed=rng.randrange(2**32), domain_size=size)
-            )
-            arity = rng.randint(1, 3)
-            all_tuples = list(itertools.product(range(size), repeat=arity))
-            tuples = tuple(t for t in all_tuples if rng.random() < 0.5)
+        for _ in range(90):
+            arity = rng.randint(1, 4)
+            shape = rng.choice(("generated", "mixed sizes", "extra ops"))
+            if shape == "mixed sizes":
+                algs = tuple(rng.choice((dd2, dd2sq)) for _ in range(arity))
+            else:
+                alg = gen_cd3_algebra(
+                    GeneratorConfig(
+                        seed=rng.randrange(2**32), domain_size=rng.choice((2, 3))
+                    )
+                )
+                if shape == "extra ops":
+                    alg = with_extra_ops(alg, rng)
+                algs = (alg,) * arity
+            sizes = tuple(a.size for a in algs)
+            tuples = random_tuples(rng, sizes)
             if not tuples:
                 continue
-            rel = Relation((size,) * arity, tuples)
-            got = is_invariant(rel, (alg,) * arity)
-            want = brute_invariant(rel, (alg,) * arity)
-            assert got == want
+            rel = Relation(sizes, tuples)
+            got = is_invariant(rel, algs)
+            want = brute_invariant(rel, algs)
+            assert got == want, (shape, sizes, tuples)
             agree_true += want
             agree_false += not want
         assert agree_true and agree_false
@@ -181,7 +210,7 @@ class TestGeneratedSubpower:
 
     def test_matches_naive_fixpoint(self):
         rng = random.Random(31)
-        for _ in range(30):
+        for _ in range(40):
             width = rng.randint(1, 3)
             algs = tuple(
                 gen_cd3_algebra(
@@ -189,6 +218,8 @@ class TestGeneratedSubpower:
                 )
                 for _ in range(width)
             )
+            if rng.random() < 0.5:
+                algs = tuple(with_extra_ops(a, rng) for a in algs)
             seeds = [
                 tuple(rng.randrange(a.size) for a in algs)
                 for _ in range(rng.randint(1, 3))
@@ -196,6 +227,25 @@ class TestGeneratedSubpower:
             got = generated_subpower(algs, seeds)
             assert set(got.tuples) == self.naive_closure(algs, seeds)
             assert is_invariant(got, algs)
+
+    def test_operation_arity_must_agree_across_coordinates(self, dd2):
+        unary = Algebra(
+            2,
+            dd2.ops + (("f", OperationTable.from_function(2, 1, lambda x: x)),),
+            dd2.jonsson,
+        )
+        binary = Algebra(
+            2,
+            dd2.ops + (("f", OperationTable.from_function(2, 2, lambda x, y: x)),),
+            dd2.jonsson,
+        )
+        for algs in ((unary, binary), (binary, unary)):
+            with pytest.raises(ValueError, match="arities"):
+                generated_subpower(algs, [(0, 1)])
+            with pytest.raises(ValueError, match="arities"):
+                is_invariant(Relation((2, 2), ((0, 1),)), algs)
+            with pytest.raises(ValueError, match="arities"):
+                is_invariant(Relation.empty((2, 2)), algs)
 
     def test_seed_validation(self, dd2):
         with pytest.raises(ValueError):
