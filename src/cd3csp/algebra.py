@@ -115,11 +115,6 @@ class Algebra:
     def universe(self) -> range:
         return range(self.size)
 
-    @property
-    def is_trivial(self) -> bool:
-        """One-element algebras are flagged apart from the simple ones."""
-        return self.size == 1
-
     def op_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.ops)
 

@@ -102,7 +102,7 @@ def _print_outcome(out) -> int:
 
 def cmd_solve(args) -> int:
     inst = fileio.read_instance(args.file)
-    return _print_outcome(solve(inst, k=args.k, mode=args.mode))
+    return _print_outcome(solve(inst, k=args.k))
 
 
 def cmd_oracle(args) -> int:
@@ -182,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve", help="decide an instance through the reduction pipeline")
     sp.add_argument("file")
     sp.add_argument("--k", type=int)
-    sp.add_argument("--mode", choices=("local", "global"))
     sp.set_defaults(handler=cmd_solve)
 
     sp = sub.add_parser("oracle", help="decide an instance by exhaustive search")

@@ -67,6 +67,14 @@ def _intersect(a: Relation, b: Relation) -> Relation:
     return Relation(a.sizes, tuple(t for t in a.tuples if t in b))
 
 
+def _merge_by_scope(pairs) -> dict:
+    """Intersect the relations of (scope, relation) pairs sharing a scope."""
+    merged: dict[tuple, Relation] = {}
+    for scope, rel in pairs:
+        merged[scope] = _intersect(merged[scope], rel) if scope in merged else rel
+    return merged
+
+
 def k_minimalize(inst: Instance, k: int) -> MinimalizedInstance:
     """Propagate to the k-minimal fixpoint, materializing all entries.
 
@@ -82,12 +90,7 @@ def k_minimalize(inst: Instance, k: int) -> MinimalizedInstance:
     level = min(k, n)
     sizes = inst.sig.sizes
 
-    merged: dict[tuple, Relation] = {}
-    for c in inst.constraints:
-        if c.scope in merged:
-            merged[c.scope] = _intersect(merged[c.scope], c.rel)
-        else:
-            merged[c.scope] = c.rel
+    merged = _merge_by_scope((c.scope, c.rel) for c in inst.constraints)
     base_scopes = sorted(merged, key=lambda s: (len(s), s))
 
     rels: dict = {("b", s): merged[s] for s in base_scopes}
@@ -171,14 +174,20 @@ def k_minimalize(inst: Instance, k: int) -> MinimalizedInstance:
         ekey = ("e", I)
         E = rels[ekey]
         pos = subs[cid][I]
-        keep = tuple(t for t in R.tuples if tuple(t[p] for p in pos) in E)
+        # one pass: every kept tuple's projection is in E, so the
+        # projection set is a subset of E and shrank iff it is smaller
+        keep, proj_set = [], set()
+        for t in R.tuples:
+            key = tuple(t[p] for p in pos)
+            if key in E:
+                keep.append(t)
+                proj_set.add(key)
         changed_r = len(keep) < len(R.tuples)
         if changed_r:
-            rels[cid] = Relation(R.sizes, keep)
+            rels[cid] = Relation(R.sizes, tuple(keep))
             if not keep:
                 return finish(scope_of[cid])
-        proj_set = {tuple(t[p] for p in pos) for t in keep}
-        changed_e = proj_set != set(E.tuples)
+        changed_e = len(proj_set) < len(E)
         if changed_e:
             rels[ekey] = Relation(E.sizes, tuple(proj_set))
             if not proj_set:
@@ -244,13 +253,11 @@ def make_subdirect(mi: MinimalizedInstance):
 
 def effective_instance(mi: MinimalizedInstance) -> Instance:
     """The instance carrying both refined base constraints and all entries."""
-    by_scope: dict[tuple, Relation] = {}
-    for c in mi.base.constraints:
-        by_scope[c.scope] = (
-            _intersect(by_scope[c.scope], c.rel) if c.scope in by_scope else c.rel
+    by_scope = _merge_by_scope(
+        itertools.chain(
+            ((c.scope, c.rel) for c in mi.base.constraints), mi.system.entries.items()
         )
-    for I, rel in mi.system.entries.items():
-        by_scope[I] = _intersect(by_scope[I], rel) if I in by_scope else rel
+    )
     scopes = sorted(by_scope, key=lambda s: (len(s), s))
     return Instance(
         mi.base.sig,

@@ -131,6 +131,20 @@ def distance_profile(rel: Relation) -> DistanceProfile:
     return DistanceProfile(n, tuple(layers), dist)
 
 
+def _graph_map(rel: Relation) -> tuple[int, ...] | None:
+    """The map sending each right element of a binary relation to its one
+    left partner, or None when some right element has none or several."""
+    nb = rel.sizes[1]
+    if len(rel) != nb:
+        return None
+    back = [None] * nb
+    for a, b in rel.tuples:
+        if back[b] is not None:
+            return None
+        back[b] = a
+    return tuple(back)
+
+
 @dataclass(frozen=True)
 class BinaryClassification:
     kind: str  # "full" or "hom_graph"
@@ -157,15 +171,11 @@ def classify_binary(rel: Relation, alg_a: Algebra, alg_b: Algebra) -> BinaryClas
     if len(rel) == alg_a.size * alg_b.size:
         return BinaryClassification("full")
 
-    hom = [None] * alg_b.size
-    for a, b in rel.tuples:
-        if hom[b] is not None:
-            raise LemmaViolation(
-                f"relation is neither full nor functional: right element {b} has two left matches"
-            )
-        hom[b] = a
-    if any(h is None for h in hom):
-        raise LemmaViolation("relation is not subdirect on the right factor")
+    hom = _graph_map(rel)
+    if hom is None:
+        raise LemmaViolation(
+            "relation is neither full nor functional: a right element has two left matches"
+        )
     if set(hom) != set(alg_a.universe):
         raise LemmaViolation("functional relation is not onto the left factor")
     for name in alg_a.op_names():
@@ -273,17 +283,31 @@ def build_lambda_J(
                 raise LemmaViolation(
                     f"entry on {I} projects onto {seen} at the coordinate, expected {set(ideal)}"
                 )
-    for I, K in itertools.combinations(level_sets, 2):
-        shared = tuple(sorted(set(I) & set(K)))
-        if not shared:
-            continue
-        pi = project(lamj[I], _positions(I, shared))
-        pk = project(lamj[K], _positions(K, shared))
-        if pi != pk:
-            raise LemmaViolation(
-                f"restricted entries on {I} and {K} disagree on {shared}"
-            )
+    _check_agreement(lamj)
     return IdealReduction(coord, ideal, mode, level, lamj)
+
+
+def _check_agreement(lamj: dict) -> None:
+    """Raise LemmaViolation, naming two disagreeing sets, unless every two
+    sets of lamj agree on the variables they share.
+
+    lamj holds a relation for every variable set of one size.  It is
+    enough to compare the projections onto subsets one variable smaller
+    than the sets: two sets sharing variables S are joined by a chain of
+    sets that all contain S, each sharing all but one variable with the
+    next, and agreement on those shared variables carries over to S along
+    the chain.
+    """
+    seen: dict = {}
+    for I, rel in lamj.items():
+        for pos in itertools.combinations(range(len(I)), len(I) - 1):
+            S = tuple(I[p] for p in pos)
+            proj = frozenset(tuple(t[p] for p in pos) for t in rel.tuples)
+            first, first_proj = seen.setdefault(S, (I, proj))
+            if proj != first_proj:
+                raise LemmaViolation(
+                    f"restricted entries on {first} and {I} disagree on {S}"
+                )
 
 
 def reduce_constraint_RJ(

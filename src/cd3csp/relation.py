@@ -52,10 +52,6 @@ class Relation:
         return not self.tuples
 
     @staticmethod
-    def from_tuples(sizes, tuples) -> "Relation":
-        return Relation(tuple(sizes), tuple(tuple(t) for t in tuples))
-
-    @staticmethod
     def full(sizes) -> "Relation":
         sizes = tuple(sizes)
         return Relation(sizes, tuple(itertools.product(*(range(s) for s in sizes))))

@@ -18,7 +18,6 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import (
-    Congruence,
     _UnionFind,
     check_cd3,
     is_simple,
@@ -33,6 +32,7 @@ from .consistency import (
 )
 from .errors import LemmaViolation, NotCd3
 from .jonsson import (
+    _graph_map,
     build_lambda_J,
     classify_binary,
     is_jonsson_trivial,
@@ -44,6 +44,7 @@ from .relation import (
     Instance,
     Relation,
     Signature,
+    project,
     satisfies,
     scope_algebras,
     validate_invariance,
@@ -67,14 +68,12 @@ class QuotientPlan:
 
     members lists the coordinates tied to the split coordinate by a
     functional pairwise entry; maps sends each member's elements onto the
-    split coordinate's quotient labels; thetas records the kernel per
-    member (the zero congruence elsewhere).
+    split coordinate's quotient labels.
     """
 
     coord: int
     members: tuple[int, ...]
     maps: dict
-    thetas: dict
 
 
 @dataclass(frozen=True)
@@ -118,48 +117,39 @@ def _pair_shape(rel: Relation) -> tuple[str, tuple[int, ...] | None]:
     na, nb = rel.sizes
     if len(rel) == na * nb:
         return "full", None
-    if na == nb and len(rel) == na:
+    back = _graph_map(rel)
+    if back is not None and na == nb and len(set(back)) == na:
         fwd = [None] * na
-        back = [None] * nb
-        for a, b in rel.tuples:
-            if fwd[a] is not None or back[b] is not None:
-                return "other", None
+        for b, a in enumerate(back):
             fwd[a] = b
-            back[b] = a
-        if all(x is not None for x in fwd):
-            return "bijection", tuple(fwd)
+        return "bijection", tuple(fwd)
     return "other", None
 
 
-def almost_trivial_decomposition(rel: Relation) -> AlmostTrivialDecomposition:
+def _decompose(sizes, pair) -> AlmostTrivialDecomposition:
     """Split coordinates into classes glued by bijections, others free.
 
-    Verifies that the relation is exactly the product of its classwise
-    diagonal blocks; any mismatch raises LemmaViolation.
+    pair(i, j) is the binary relation on coordinates i < j.  Raises
+    LemmaViolation when a pair is neither a bijection graph nor full, when
+    two coordinates of one class are not glued by a bijection, or when two
+    coordinates of different classes are not free.
     """
-    m = rel.arity
-    if rel.is_empty:
-        raise LemmaViolation("cannot decompose an empty relation")
+    m = len(sizes)
     shapes = {}
-    for i, j in itertools.combinations(range(m), 2):
-        pair = Relation(
-            (rel.sizes[i], rel.sizes[j]),
-            tuple((t[i], t[j]) for t in rel.tuples),
-        )
-        shapes[(i, j)] = _pair_shape(pair)
-        if shapes[(i, j)][0] == "other":
-            raise LemmaViolation(
-                f"projection onto coordinates ({i},{j}) is neither a bijection graph nor full"
-            )
-
     uf = _UnionFind(m)
-    for (i, j), (kind, _) in shapes.items():
+    for i, j in itertools.combinations(range(m), 2):
+        shapes[(i, j)] = _pair_shape(pair(i, j))
+        kind = shapes[(i, j)][0]
+        if kind == "other":
+            raise LemmaViolation(
+                f"pair ({i},{j}) is neither a bijection graph nor full"
+            )
         if kind == "bijection":
             uf.union(i, j)
     groups: dict[int, list] = {}
     for i in range(m):
         groups.setdefault(uf.find(i), []).append(i)
-    classes = tuple(tuple(sorted(g)) for g in sorted(groups.values()))
+    classes = tuple(tuple(g) for g in sorted(groups.values()))
 
     for cls in classes:
         for i, j in itertools.combinations(cls, 2):
@@ -179,31 +169,43 @@ def almost_trivial_decomposition(rel: Relation) -> AlmostTrivialDecomposition:
     bijections = {}
     for cls in classes:
         anchor = cls[0]
-        bijections[(anchor, anchor)] = tuple(range(rel.sizes[anchor]))
+        bijections[(anchor, anchor)] = tuple(range(sizes[anchor]))
         for j in cls[1:]:
             bijections[(anchor, j)] = shapes[(anchor, j)][1]
+    return AlmostTrivialDecomposition(classes, bijections)
+
+
+def almost_trivial_decomposition(rel: Relation) -> AlmostTrivialDecomposition:
+    """Split coordinates into classes glued by bijections, others free.
+
+    Verifies that the relation is exactly the product of its classwise
+    diagonal blocks; any mismatch raises LemmaViolation.
+    """
+    if rel.is_empty:
+        raise LemmaViolation("cannot decompose an empty relation")
+    deco = _decompose(rel.sizes, lambda i, j: project(rel, (i, j)))
 
     expected = set()
-    choices = [range(rel.sizes[cls[0]]) for cls in classes]
+    choices = [range(rel.sizes[cls[0]]) for cls in deco.classes]
     for combo in itertools.product(*choices):
-        t = [None] * m
-        for cls, aval in zip(classes, combo):
-            anchor = cls[0]
+        t = [None] * rel.arity
+        for cls, aval in zip(deco.classes, combo):
             for j in cls:
-                t[j] = bijections[(anchor, j)][aval]
+                t[j] = deco.bijections[(cls[0], j)][aval]
         expected.add(tuple(t))
     if expected != set(rel.tuples):
         raise LemmaViolation("relation is not the product of its classwise blocks")
-    return AlmostTrivialDecomposition(classes, bijections)
+    return deco
 
 
 def base_case_solve(mi: MinimalizedInstance) -> tuple[int, ...]:
     """Assemble the least assignment of an ideal-free, simple-domain system.
 
-    Anchors every bijection class at value 0 and propagates through the
-    pairwise entries, then checks the result against every relation in the
-    system.  Raises LemmaViolation when the entries do not decompose or the
-    assembled assignment misses a relation.
+    Decomposes the pairwise entries, anchors every bijection class at value
+    0 and reads the other class members off the bijections, then checks
+    the result against every relation in the system.  Raises LemmaViolation
+    when the entries do not decompose or the assembled assignment misses a
+    relation.
     """
     doms = mi.base.sig.domains
     n = len(doms)
@@ -215,45 +217,11 @@ def base_case_solve(mi: MinimalizedInstance) -> tuple[int, ...]:
     if n == 1:
         return (mi.system.entry((0,)).tuples[0][0],)
 
-    shapes = {}
-    for i, j in itertools.combinations(range(n), 2):
-        shapes[(i, j)] = _pair_shape(mi.system.entry((i, j)))
-        if shapes[(i, j)][0] == "other":
-            raise LemmaViolation(
-                f"pair entry ({i},{j}) is neither a bijection graph nor full"
-            )
-
-    uf = _UnionFind(n)
-    for (i, j), (kind, _) in shapes.items():
-        if kind == "bijection":
-            uf.union(i, j)
-    groups: dict[int, list] = {}
-    for i in range(n):
-        groups.setdefault(uf.find(i), []).append(i)
-
-    for g in groups.values():
-        for i, j in itertools.combinations(sorted(g), 2):
-            if shapes[(i, j)][0] != "bijection":
-                raise LemmaViolation(
-                    f"variables ({i},{j}) share a class without a bijection entry"
-                )
-    for ga, gb in itertools.combinations(sorted(map(tuple, groups.values())), 2):
-        for i in ga:
-            for j in gb:
-                key = (i, j) if i < j else (j, i)
-                if shapes[key][0] != "full":
-                    raise LemmaViolation(
-                        f"variables {key} sit in different classes but are constrained"
-                    )
-
+    deco = _decompose(mi.base.sig.sizes, lambda i, j: mi.system.entry((i, j)))
     assignment = [None] * n
-    for g in sorted(groups.values()):
-        anchor = min(g)
-        assignment[anchor] = 0
-        for j in sorted(g):
-            if j == anchor:
-                continue
-            assignment[j] = shapes[(anchor, j)][1][0]
+    for cls in deco.classes:
+        for j in cls:
+            assignment[j] = deco.bijections[(cls[0], j)][0]
 
     sol = tuple(assignment)
     for c in mi.base.constraints:
@@ -271,13 +239,18 @@ def _compose_maps(outer, inner):
     return [tuple(o[x] for x in i) for o, i in zip(outer, inner)]
 
 
-def reduce_to_ideal(mi: MinimalizedInstance, coord: int, ideal, mode: str):
+def reduce_to_ideal(mi: MinimalizedInstance, coord: int, ideal):
     """Shrink one domain onto a proper ideal and re-minimalize.
 
     Returns (instance, maps).  The restricted system is guaranteed to stay
     nonempty with the coordinate's domain landing exactly on the ideal.
+    Constraints wider than the entry level are filtered tuplewise, which
+    needs the global regime (k at least the squared maximum domain size);
+    the regime is derived from the instance and k, and in the local regime
+    reduce_constraint_RJ refuses such a constraint with ValueError.
     """
     doms = mi.base.sig.domains
+    mode = choose_mode(mi.base, mi.system.k)
     red = build_lambda_J(mi.system, coord, ideal, doms[coord], mode)
     level = red.level
 
@@ -287,15 +260,11 @@ def reduce_to_ideal(mi: MinimalizedInstance, coord: int, ideal, mode: str):
             new_constraints.append(Constraint(c.scope, red.derived(c.scope)))
         elif len(c.scope) == level:
             new_constraints.append(Constraint(c.scope, red.entry(c.scope)))
-        elif mode == "global":
+        else:
             filtered = reduce_constraint_RJ(
                 c.rel, c.scope, red, scope_algebras(mi.base, c.scope)
             )
             new_constraints.append(Constraint(c.scope, filtered))
-        else:
-            raise ValueError(
-                f"scope {c.scope} exceeds the entry level; local mode cannot filter it"
-            )
     covered = {c.scope for c in new_constraints}
     for I in mi.system.level_sets():
         if I not in covered:
@@ -341,7 +310,6 @@ def quotient_reduce(mi: MinimalizedInstance, coord: int):
 
     members = [coord]
     maps = {coord: tuple(proj)}
-    thetas = {coord: theta1}
     for i in range(len(doms)):
         if i == coord:
             continue
@@ -357,12 +325,8 @@ def quotient_reduce(mi: MinimalizedInstance, coord: int):
         if shape.kind == "hom_graph":
             members.append(i)
             maps[i] = shape.hom
-            thetas[i] = Congruence(doms[i].size, shape.hom)
-        else:
-            thetas[i] = Congruence.zero(doms[i].size)
 
-    members = tuple(sorted(members))
-    plan = QuotientPlan(coord, members, maps, thetas)
+    plan = QuotientPlan(coord, tuple(sorted(members)), maps)
 
     q_domains = tuple(qalg if i in maps else doms[i] for i in range(len(doms)))
     phi = [maps.get(i, tuple(range(doms[i].size))) for i in range(len(doms))]
@@ -444,17 +408,45 @@ def choose_mode(inst: Instance, k: int) -> str:
     return "global" if k >= biggest * biggest else "local"
 
 
-def solve(inst: Instance, k: int | None = None, mode: str | None = None) -> SolveOutcome:
+def _reduce_step(mi: MinimalizedInstance, k: int):
+    """Shrink one domain: onto a proper ideal if any domain has one, else
+    through a quotient split of a non-simple domain.
+
+    Returns (instance, maps, step name), or None when every domain is
+    simple (or one-element) with no proper ideal.
+    """
+    doms = mi.base.sig.domains
+    for i, a in enumerate(doms):
+        ideal = some_proper_ideal(a)
+        if ideal is not None:
+            return (*reduce_to_ideal(mi, i, ideal), "ideal restriction")
+    for i, a in enumerate(doms):
+        if a.size >= 2 and not is_simple(a):
+            plan, q_inst = quotient_reduce(mi, i)
+            q_out = solve(q_inst, k=k)
+            if q_out.solution is None:
+                raise LemmaViolation("quotient instance is unexpectedly unsatisfiable")
+            return (*pullback(mi, plan, q_out.solution), "quotient split")
+    return None
+
+
+def solve(inst: Instance, k: int | None = None) -> SolveOutcome:
     """Decide an instance and produce a witness or an emptiness certificate.
 
     k defaults to 3 for arity-3 instances and to the squared maximum
-    domain size otherwise; mode picks the global tuplewise filter exactly
-    when k reaches that square.
+    domain size otherwise.  The reduction regime is derived, not chosen:
+    constraints wider than k are filtered tuplewise, which is sound only
+    when k is at least the squared maximum domain size, so an instance
+    whose arity exceeds a smaller k is refused with ValueError.
     """
     n = inst.nvars
     if n == 0:
         raise ValueError("instance has no variables")
+    checked = set()
     for i, a in enumerate(inst.sig.domains):
+        if a in checked:
+            continue
+        checked.add(a)
         report = check_cd3(a)
         if not report.ok:
             raise NotCd3(f"domain {i} fails the chain identities: {report.failures}")
@@ -464,17 +456,11 @@ def solve(inst: Instance, k: int | None = None, mode: str | None = None) -> Solv
         k = inst.k if inst.k is not None else choose_k(inst)
     if k < 3:
         raise ValueError("the pipeline needs k at least 3")
-    biggest = max(a.size for a in inst.sig.domains)
     arity = max((len(c.scope) for c in inst.constraints), default=1)
-    if mode is None:
-        mode = choose_mode(inst, k)
-    if mode not in ("local", "global"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "local" and arity > k:
-        raise ValueError(f"local mode cannot handle arity {arity} with k={k}")
-    if mode == "global" and k < biggest * biggest:
+    if arity > k and choose_mode(inst, k) == "local":
+        biggest = max(a.size for a in inst.sig.domains)
         raise ValueError(
-            f"global mode needs k >= {biggest * biggest} for domains of size {biggest}"
+            f"arity {arity} exceeds k={k}; wide constraints need k >= {biggest * biggest}"
         )
 
     mi = k_minimalize(inst, k)
@@ -496,40 +482,17 @@ def solve(inst: Instance, k: int | None = None, mode: str | None = None) -> Solv
         return finish(top.tuples[0])
 
     while True:
-        doms = mi.base.sig.domains
-        total_size = sum(a.size for a in doms)
+        total_size = sum(a.size for a in mi.base.sig.domains)
+        stepped = _reduce_step(mi, k)
+        if stepped is None:
+            break
+        mi, step, name = stepped
+        total = _compose_maps(total, step)
+        if sum(a.size for a in mi.base.sig.domains) >= total_size:
+            raise LemmaViolation(f"{name} failed to shrink the instance")
 
-        ideal_at = None
-        for i, a in enumerate(doms):
-            j = some_proper_ideal(a)
-            if j is not None:
-                ideal_at = (i, j)
-                break
-        if ideal_at is not None:
-            mi, step = reduce_to_ideal(mi, ideal_at[0], ideal_at[1], mode)
-            total = _compose_maps(total, step)
-            if sum(a.size for a in mi.base.sig.domains) >= total_size:
-                raise LemmaViolation("ideal restriction failed to shrink the instance")
-            continue
-
-        split_at = None
-        for i, a in enumerate(doms):
-            if a.size >= 2 and not is_simple(a):
-                split_at = i
-                break
-        if split_at is not None:
-            plan, q_inst = quotient_reduce(mi, split_at)
-            q_out = solve(q_inst, k=k, mode=mode)
-            if q_out.solution is None:
-                raise LemmaViolation("quotient instance is unexpectedly unsatisfiable")
-            mi, step = pullback(mi, plan, q_out.solution)
-            total = _compose_maps(total, step)
-            if sum(a.size for a in mi.base.sig.domains) >= total_size:
-                raise LemmaViolation("quotient split failed to shrink the instance")
-            continue
-
-        try:
-            return finish(base_case_solve(mi))
-        except LemmaViolation:
-            fallback = brute_force_solve(inst)
-            return SolveOutcome(fallback.solution, fallback.certificate, fallback=True)
+    try:
+        return finish(base_case_solve(mi))
+    except LemmaViolation:
+        fallback = brute_force_solve(inst)
+        return SolveOutcome(fallback.solution, fallback.certificate, fallback=True)

@@ -149,6 +149,21 @@ class TestSolveOracleMinimalize:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_wide_constraint_needs_k_at_least_square(self, capsys, tmp_path):
+        # an arity-4 constraint over two elements is filtered only with k >= 4
+        inst = mk_instance(
+            majority_algebra(2),
+            [((0, 1, 2, 3), ((0, 0, 0, 0), (1, 1, 1, 1))), ((3, 4), EQ2)],
+        )
+        p = tmp_path / "wide.json"
+        fileio.write_instance(p, inst)
+        code, _, err = run(capsys, "solve", str(p), "--k", "3")
+        assert code == 2
+        assert err.startswith("error:")
+        code, out, _ = run(capsys, "solve", str(p))
+        assert code == 0
+        assert out.startswith("SAT")
+
 
 class TestCompare:
     def test_agreement_run(self, capsys):

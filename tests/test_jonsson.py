@@ -1,8 +1,10 @@
 """Derived multiplication, ideals, distance layers, binary classification,
 ideal-restricted entry systems."""
 
+import ast
 import itertools
 import random
+import re
 
 import pytest
 
@@ -35,6 +37,7 @@ from cd3csp import (
     switch_algebra,
 )
 from cd3csp.errors import Cd3Violation
+from cd3csp.jonsson import _check_agreement
 
 from tests.conftest import EQ2, FULL2, NEQ2, brute_least_closed, mk_instance
 
@@ -251,6 +254,58 @@ class TestBuildLambdaJ:
         system = KSystem(2, 3, {(0,): u, (1,): u, (2,): u, (0, 1): Relation((2, 2), EQ2)})
         with pytest.raises(ValueError):
             build_lambda_J(system, 0, frozenset({0}), maj2)
+
+
+def all_pairs_agree(lamj):
+    """Reference: every two sets agree on their shared variables."""
+    for I, K in itertools.combinations(lamj, 2):
+        shared = tuple(sorted(set(I) & set(K)))
+        if shared and project(lamj[I], [I.index(v) for v in shared]) != project(
+            lamj[K], [K.index(v) for v in shared]
+        ):
+            return False
+    return True
+
+
+class TestCheckAgreement:
+    def test_matches_all_pairs_reference(self):
+        rng = random.Random(97)
+        verdicts = []
+        for _ in range(120):
+            n = rng.randint(4, 6)
+            level = rng.randint(2, min(4, n - 1))
+            size = rng.choice((2, 3))
+            density = rng.choice((0.01, 0.05, 0.3))
+            whole = [
+                t for t in itertools.product(range(size), repeat=n) if rng.random() < density
+            ] or [(0,) * n]
+            lamj = {
+                I: Relation((size,) * level, tuple(tuple(t[v] for v in I) for t in whole))
+                for I in itertools.combinations(range(n), level)
+            }
+            if rng.random() < 0.6:
+                I = rng.choice(sorted(lamj))
+                t = tuple(rng.randrange(size) for _ in I)
+                tuples = set(lamj[I].tuples) ^ {t}
+                lamj[I] = Relation(lamj[I].sizes, tuple(tuples or {t}))
+            want = all_pairs_agree(lamj)
+            verdicts.append(want)
+            if want:
+                _check_agreement(lamj)
+                continue
+            with pytest.raises(LemmaViolation) as info:
+                _check_agreement(lamj)
+            # the error names two sets that really disagree on the named variables
+            found = re.fullmatch(
+                r"restricted entries on (\(.*?\)) and (\(.*?\)) disagree on (\(.*?\))",
+                str(info.value),
+            )
+            I, K, S = (ast.literal_eval(g) for g in found.groups())
+            assert set(S) <= set(I) & set(K)
+            assert project(lamj[I], [I.index(v) for v in S]) != project(
+                lamj[K], [K.index(v) for v in S]
+            )
+        assert 20 <= verdicts.count(False) <= 100
 
 
 class TestReduceConstraintRJ:

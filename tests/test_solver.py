@@ -8,11 +8,16 @@ import pytest
 
 import cd3csp.solver as solver_mod
 from cd3csp import (
+    Algebra,
+    Constraint,
     GeneratorConfig,
+    Instance,
     InvarianceViolation,
     LemmaViolation,
     NotCd3,
+    OperationTable,
     Relation,
+    Signature,
     almost_trivial_decomposition,
     base_case_solve,
     brute_force_solve,
@@ -20,6 +25,7 @@ from cd3csp import (
     choose_mode,
     gen_cd3_algebra,
     gen_instance,
+    generated_subpower,
     is_simple,
     k_minimalize,
     make_subdirect,
@@ -32,6 +38,7 @@ from cd3csp import (
     some_proper_ideal,
     switch_algebra,
 )
+from cd3csp.lemmas import _pool_simple_trivial
 
 from tests.conftest import EQ2, FULL2, NEQ2, brute_solutions, mk_instance
 
@@ -132,6 +139,59 @@ class TestBaseCase:
         mi = k_minimalize(inst, 3)
         assert base_case_solve(mi) == (1,)
 
+    def test_matches_decomposition_of_subdirect_subpowers(self):
+        # Coordinates of one drawn class carry relabelled copies of one
+        # algebra, tied by the relabelling bijections in every seed tuple.
+        # The assembled assignment must be the one tuple of the relation
+        # that is 0 at every class anchor of its decomposition.
+        pool, _ = _pool_simple_trivial(0, 20)
+        small = next(a for a in pool if a.size == 2)
+        rng = random.Random(103)
+        glued = moved = 0
+        for _ in range(30):
+            labels = [rng.randrange(4) for _ in range(4)]
+            bases = {c: rng.choice(pool) for c in sorted(set(labels))}
+            if all(a.size == 3 for a in bases.values()) and len(bases) == 4:
+                bases[labels[3]] = small
+            perms = [rng.sample(range(bases[c].size), bases[c].size) for c in labels]
+            algs = tuple(relabelled(bases[c], p) for c, p in zip(labels, perms))
+            seeds = []
+            for _ in range(3 + rng.randint(1, 3)):
+                x = {c: rng.randrange(a.size) for c, a in bases.items()}
+                seeds.append(tuple(p[x[c]] for c, p in zip(labels, perms)))
+            for c, a in bases.items():  # every value at every coordinate
+                for v in range(a.size):
+                    x = {d: rng.randrange(b.size) for d, b in bases.items()}
+                    x[c] = v
+                    seeds.append(tuple(p[x[d]] for d, p in zip(labels, perms)))
+            rel = generated_subpower(algs, seeds)
+            deco = almost_trivial_decomposition(rel)
+            (want,) = [
+                t for t in rel.tuples if all(t[cls[0]] == 0 for cls in deco.classes)
+            ]
+            inst = Instance(Signature(algs), (Constraint((0, 1, 2, 3), rel),))
+            assert base_case_solve(k_minimalize(inst, 3)) == want
+            glued += len(deco.classes) < 4
+            moved += any(want)
+        assert glued >= 10 and moved >= 10
+
+
+def relabelled(alg, perm):
+    """The isomorphic copy of alg in which perm[x] plays the part of x."""
+    inv = [perm.index(y) for y in range(alg.size)]
+    ops = tuple(
+        (
+            name,
+            OperationTable.from_function(
+                alg.size,
+                alg.op(name).arity,
+                lambda *args, op=alg.op(name): perm[op.apply(*(inv[y] for y in args))],
+            ),
+        )
+        for name in alg.op_names()
+    )
+    return Algebra(alg.size, ops, alg.jonsson)
+
 
 class TestReduceToIdeal:
     def test_majority_domains_collapse_to_ideal(self, maj2):
@@ -141,7 +201,7 @@ class TestReduceToIdeal:
         )
         mi = k_minimalize(inst, 3)
         mi, _ = make_subdirect(mi)
-        out, maps = reduce_to_ideal(mi, 0, frozenset({0}), "local")
+        out, maps = reduce_to_ideal(mi, 0, frozenset({0}))
         assert maps[0] == (0,)
         assert out.base.sig.domains[0].size == 1
         # remaining coordinates keep whatever the propagation allows
@@ -164,7 +224,7 @@ class TestReduceToIdeal:
             if target is None:
                 continue
             ideal = some_proper_ideal(doms[target])
-            out, maps = reduce_to_ideal(mi, target, ideal, "local")
+            out, maps = reduce_to_ideal(mi, target, ideal)
             # every solution of the reduced system lifts to one of the intermediate system
             eff = out.base
             sizes = [a.size for a in eff.sig.domains]
@@ -218,12 +278,12 @@ class TestQuotientReduce:
         assert qsize < doms[coord].size
         for i in plan.members:
             assert q_inst.sig.domains[i].size == qsize
+            assert len(plan.maps[i]) == doms[i].size
             assert set(plan.maps[i]) == set(range(qsize))
-            assert plan.thetas[i].num_blocks == qsize
         for i in range(len(doms)):
             if i not in plan.members:
                 assert q_inst.sig.domains[i] == doms[i]
-                assert plan.thetas[i].is_zero
+                assert i not in plan.maps
 
     def test_quotient_images_of_solutions_solve_quotient(self):
         rng = random.Random(73)
@@ -306,19 +366,13 @@ class TestSolve:
         inst = mk_instance(maj2, [((0, 1), EQ2)])
         with pytest.raises(ValueError):
             solve(inst, k=2)
-        with pytest.raises(ValueError):
-            solve(inst, k=3, mode="global")  # needs k >= 4 on two elements
-        with pytest.raises(ValueError):
-            solve(inst, k=3, mode="sideways")
         wide = mk_instance(
             maj2, [((0, 1, 2, 3), tuple(itertools.product(range(2), repeat=4)))]
         )
         with pytest.raises(ValueError):
-            solve(wide, k=3, mode="local")
+            solve(wide, k=3)  # arity 4 needs k >= 4 on two elements
 
     def test_rejects_broken_identities(self):
-        from cd3csp import Algebra, OperationTable
-
         p1 = OperationTable.from_function(2, 3, lambda x, y, z: x)
         p3 = OperationTable.from_function(2, 3, lambda x, y, z: z)
         alg = Algebra(2, (("j1", p1), ("j2", p3)), ("j1", "j2"))
@@ -391,3 +445,67 @@ class TestSolve:
         out = solver_mod.solve(inst)
         assert out.fallback
         assert out.solution == (0, 1, 0, 1)
+
+
+def planted_instance(rng, alg, nvars, arities, extra):
+    """Instance whose constraints each close a planted tuple and ``extra``
+    random tuples under the operations."""
+    planted = [rng.randrange(alg.size) for _ in range(nvars)]
+    constraints = []
+    for arity in arities:
+        scope = tuple(sorted(rng.sample(range(nvars), arity)))
+        seeds = [tuple(planted[v] for v in scope)]
+        seeds += [tuple(rng.randrange(alg.size) for _ in scope) for _ in range(extra)]
+        constraints.append(Constraint(scope, generated_subpower((alg,) * arity, seeds)))
+    return Instance(Signature((alg,) * nvars), tuple(constraints))
+
+
+# Solutions recorded with the implementation that chose the reduction
+# regime through an explicit mode; every draw below is satisfiable.
+# Square draws take one to seven quotient splits.
+PINNED_SQUARE = (
+    (0, 0, 0, 1, 2, 0),
+    (2, 2, 1, 2, 0, 0),
+    (0, 0, 0, 2, 0, 1),
+    (0, 1, 0, 0, 3, 0),
+    (1, 0, 0, 1, 0, 0),
+    (0, 2, 2, 0, 2, 3),
+    (0, 0, 0, 0, 1, 0),
+    (1, 0, 0, 3, 0, 1),
+    (3, 2, 0, 0, 2, 1),
+    (3, 0, 1, 1, 0, 0),
+)
+# Wide draws (an arity-5 constraint, k=4): five filter the arity-5
+# constraint tuplewise in an ideal restriction.
+PINNED_WIDE = (
+    (0, 0, 0, 0, 0, 0),
+    (0, 0, 1, 1, 0, 1),
+    (1, 1, 1, 0, 0, 0),
+    (1, 1, 0, 0, 0, 1),
+    (1, 0, 1, 0, 1, 0),
+    (1, 1, 0, 0, 0, 0),
+    (1, 0, 1, 1, 1, 1),
+    (0, 0, 1, 1, 1, 1),
+    (0, 0, 0, 1, 0, 1),
+    (0, 0, 1, 0, 0, 1),
+)
+
+
+class TestPinnedOutcomes:
+    def test_square_domains(self):
+        base = switch_algebra(2)
+        alg = product_algebra(base, base)
+        for i, solution in enumerate(PINNED_SQUARE):
+            inst = planted_instance(random.Random(500 + i), alg, 6, (3, 3, 3), 3)
+            out = solve(inst)
+            assert (out.solution, out.certificate, out.fallback) == (solution, None, False), i
+
+    def test_wide_constraints(self):
+        for i, solution in enumerate(PINNED_WIDE):
+            rng = random.Random(900 + i)
+            alg = gen_cd3_algebra(
+                GeneratorConfig(seed=rng.randrange(2**32), domain_size=2)
+            )
+            inst = planted_instance(rng, alg, 6, (5, 4, 3), 2)
+            out = solve(inst, k=4)
+            assert (out.solution, out.certificate, out.fallback) == (solution, None, False), i
