@@ -51,6 +51,14 @@ class KSystem:
 
 @dataclass(frozen=True)
 class MinimalizedInstance:
+    """A k-system plus the constraints wider than its level.
+
+    base holds only the constraints whose scopes have more than
+    system.level variables.  At a nonempty fixpoint every narrower
+    constraint equals the entry on its scope, so the entries and base
+    together carry the whole instance (see effective_instance).
+    """
+
     base: Instance
     system: KSystem
     empty_flag: bool
@@ -78,9 +86,11 @@ def _merge_by_scope(pairs) -> dict:
 def k_minimalize(inst: Instance, k: int) -> MinimalizedInstance:
     """Propagate to the k-minimal fixpoint, materializing all entries.
 
-    Constraints sharing a scope are merged by intersection first.  Returns
-    empty_flag=True (with the scope that emptied as certificate) as soon as
-    any relation runs out of tuples.
+    Constraints sharing a scope are merged by intersection first.  The
+    result's base keeps only the merged constraints wider than the level:
+    each narrower one was filtered against its own entry to the fixpoint
+    and equals it.  Returns empty_flag=True (with the scope that emptied
+    as certificate) as soon as any relation runs out of tuples.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -149,7 +159,9 @@ def k_minimalize(inst: Instance, k: int) -> MinimalizedInstance:
     def finish(empty_scope):
         base = Instance(
             inst.sig,
-            tuple(Constraint(s, rels[("b", s)]) for s in base_scopes),
+            tuple(
+                Constraint(s, rels[("b", s)]) for s in base_scopes if len(s) > level
+            ),
             k,
         )
         system = KSystem(k, n, {I: rels[("e", I)] for I in subsets_by_size})
@@ -211,7 +223,8 @@ def make_subdirect(mi: MinimalizedInstance):
 
     Returns (instance, maps) where maps[i] sends new element indices of
     variable i back to the elements they came from.  The system stays
-    k-minimal: renaming elements is a per-variable bijection.
+    k-minimal: renaming elements is a per-variable bijection.  A domain
+    whose unary entry is all of it keeps its algebra and an identity map.
     """
     if mi.empty_flag:
         raise EmptyDomain("cannot make an emptied system subdirect")
@@ -228,7 +241,10 @@ def make_subdirect(mi: MinimalizedInstance):
 
     new_doms, maps, index = [], [], []
     for i in range(n):
-        sub, emb = restrict(doms[i], values[i])
+        if len(values[i]) == doms[i].size:
+            sub, emb = doms[i], values[i]
+        else:
+            sub, emb = restrict(doms[i], values[i])
         new_doms.append(sub)
         maps.append(emb)
         index.append({old: new for new, old in enumerate(emb)})
@@ -252,17 +268,16 @@ def make_subdirect(mi: MinimalizedInstance):
 
 
 def effective_instance(mi: MinimalizedInstance) -> Instance:
-    """The instance carrying both refined base constraints and all entries."""
-    by_scope = _merge_by_scope(
-        itertools.chain(
-            ((c.scope, c.rel) for c in mi.base.constraints), mi.system.entries.items()
-        )
-    )
-    scopes = sorted(by_scope, key=lambda s: (len(s), s))
+    """The whole instance: every entry plus the constraints wider than the
+    level.
+
+    A narrower constraint of a k-minimalized instance equals its entry, so
+    nothing is lost, and the two sets of scopes are disjoint.
+    """
+    pairs = [*mi.system.entries.items(), *((c.scope, c.rel) for c in mi.base.constraints)]
+    pairs.sort(key=lambda p: (len(p[0]), p[0]))
     return Instance(
-        mi.base.sig,
-        tuple(Constraint(s, by_scope[s]) for s in scopes),
-        mi.base.k,
+        mi.base.sig, tuple(Constraint(s, rel) for s, rel in pairs), mi.base.k
     )
 
 

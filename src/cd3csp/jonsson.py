@@ -21,7 +21,7 @@ from .errors import (
     NotAnIdeal,
     NotSubdirect,
 )
-from .relation import Relation, is_invariant, is_subdirect, project
+from .relation import Relation, is_invariant, is_subdirect
 
 
 def mult(alg: Algebra, x: int, y: int) -> int:
@@ -194,22 +194,8 @@ class IdealReduction:
 
     coord: int
     ideal: frozenset
-    mode: str
     level: int
     lamj: dict
-
-    def entry(self, subset) -> Relation:
-        return self.lamj[tuple(subset)]
-
-    def derived(self, subset) -> Relation:
-        """Restriction projected down to a smaller variable set."""
-        subset = tuple(subset)
-        if subset in self.lamj:
-            return self.lamj[subset]
-        for key in sorted(self.lamj):
-            if set(subset) <= set(key):
-                return project(self.lamj[key], _positions(key, subset))
-        raise KeyError(subset)
 
 
 def build_lambda_J(
@@ -217,7 +203,6 @@ def build_lambda_J(
     coord: int,
     ideal,
     algebra: Algebra,
-    mode: str = "global",
 ) -> IdealReduction:
     """Restrict every level-size entry toward an ideal at one coordinate.
 
@@ -238,8 +223,6 @@ def build_lambda_J(
         raise ValueError("entry system must have level at least 2")
     if not (0 <= coord < system.nvars):
         raise ValueError(f"coordinate {coord} out of range")
-    if mode not in ("local", "global"):
-        raise ValueError(f"unknown mode {mode!r}")
     for I in itertools.combinations(range(system.nvars), level):
         if I not in system.entries:
             raise ValueError(f"entry system is missing the set {I}")
@@ -284,7 +267,7 @@ def build_lambda_J(
                     f"entry on {I} projects onto {seen} at the coordinate, expected {set(ideal)}"
                 )
     _check_agreement(lamj)
-    return IdealReduction(coord, ideal, mode, level, lamj)
+    return IdealReduction(coord, ideal, level, lamj)
 
 
 def _check_agreement(lamj: dict) -> None:
@@ -315,9 +298,13 @@ def reduce_constraint_RJ(
 ) -> Relation:
     """Keep the tuples whose level-size projections all lie in the
     restricted entries.  Valid in the global regime, where the level is at
-    least the squared maximum domain size."""
-    if reduction.mode != "global":
-        raise ValueError("tuplewise constraint filtering needs global mode")
+    least the squared maximum domain size of the constraint; below it the
+    filter is refused with ValueError."""
+    biggest = max(rel.sizes)
+    if reduction.level < biggest * biggest:
+        raise ValueError(
+            f"tuplewise constraint filtering needs level >= {biggest * biggest}, got {reduction.level}"
+        )
     scope = tuple(scope)
     if len(scope) != rel.arity:
         raise ValueError("scope length must match relation arity")

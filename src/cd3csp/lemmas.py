@@ -341,7 +341,7 @@ def suite_gamma_j(trials=100, seed=0) -> SuiteReport:
             continue
         coord = coords[rng.randrange(len(coords))]
         ideal = some_proper_ideal(doms[coord])
-        red = build_lambda_J(mi.system, coord, ideal, doms[coord], mode="local")
+        red = build_lambda_J(mi.system, coord, ideal, doms[coord])
         level = red.level
         nvars = mi.system.nvars
         for subset in itertools.combinations(range(nvars), level):
@@ -403,11 +403,8 @@ def suite_rj(trials=50, seed=0) -> SuiteReport:
             continue
         coord = coords[0]
         ideal = some_proper_ideal(doms[coord])
-        red = build_lambda_J(mi.system, coord, ideal, doms[coord], mode="global")
-        reduced_any = False
+        red = build_lambda_J(mi.system, coord, ideal, doms[coord])
         for con in mi.base.constraints:
-            if len(con.scope) <= red.level:
-                continue
             algs = tuple(doms[v] for v in con.scope)
             out = reduce_constraint_RJ(con.rel, con.scope, red, algs)
             if out.is_empty:
@@ -423,9 +420,6 @@ def suite_rj(trials=50, seed=0) -> SuiteReport:
                 if t not in con.rel:
                     _fail("rj", "reduction invented a tuple")
             checks += 2
-            reduced_any = True
-        if not reduced_any:
-            continue
         done += 1
     return SuiteReport("rj", done, checks, f"{attempts} candidates drawn")
 
@@ -477,13 +471,14 @@ def suite_pullback(trials=25, seed=0) -> SuiteReport:
         if not is_k_minimal(eff, 3):
             _fail("pullback", "pulled-back system is not k-minimal")
         # every surviving assignment must solve the original instance
+        source = effective_instance(mi)
         sizes = [d.size for d in doms2]
         survivors = 0
         for assign in itertools.product(*(range(s) for s in sizes)):
             if not satisfies(eff, assign):
                 continue
             lifted = tuple(maps[v][assign[v]] for v in range(len(sizes)))
-            if not satisfies(mi.base, lifted):
+            if not satisfies(source, lifted):
                 _fail("pullback", "pulled-back solution does not solve the source system")
             survivors += 1
         if survivors == 0:

@@ -74,40 +74,6 @@ def project(rel: Relation, positions) -> Relation:
     return Relation(sizes, tuple(tuple(t[p] for p in positions) for t in rel.tuples))
 
 
-def natural_join(r1: Relation, scope1, r2: Relation, scope2):
-    """Join two relations on overlapping scopes.
-
-    Returns (scope, relation) where scope is the sorted union of the two
-    input scopes.  Shared variables must carry the same domain size.
-    """
-    scope1, scope2 = tuple(scope1), tuple(scope2)
-    if len(scope1) != r1.arity or len(scope2) != r2.arity:
-        raise ValueError("scope length must match relation arity")
-    size_of = {}
-    for scope, rel in ((scope1, r1), (scope2, r2)):
-        for v, s in zip(scope, rel.sizes):
-            if size_of.setdefault(v, s) != s:
-                raise ValueError(f"domain mismatch on shared variable {v}")
-    out_scope = tuple(sorted(size_of))
-    shared = sorted(set(scope1) & set(scope2))
-    pos1 = {v: i for i, v in enumerate(scope1)}
-    pos2 = {v: i for i, v in enumerate(scope2)}
-    by_key = {}
-    for t in r2.tuples:
-        key = tuple(t[pos2[v]] for v in shared)
-        by_key.setdefault(key, []).append(t)
-    out = []
-    for t1 in r1.tuples:
-        key = tuple(t1[pos1[v]] for v in shared)
-        for t2 in by_key.get(key, ()):
-            merged = tuple(
-                t1[pos1[v]] if v in pos1 else t2[pos2[v]] for v in out_scope
-            )
-            out.append(merged)
-    sizes = tuple(size_of[v] for v in out_scope)
-    return out_scope, Relation(sizes, tuple(out))
-
-
 def _op_tables(algs):
     """(arity, per-coordinate tables) for each operation the algebras share.
 

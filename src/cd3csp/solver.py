@@ -239,44 +239,40 @@ def _compose_maps(outer, inner):
     return [tuple(o[x] for x in i) for o, i in zip(outer, inner)]
 
 
+def _reminimalize(mi: MinimalizedInstance, constraints, failure: str):
+    """k-minimalize level entries plus wide constraints on mi's domains and
+    make the result subdirect; emptying raises LemmaViolation(failure)."""
+    inst = Instance(mi.base.sig, tuple(constraints), mi.base.k)
+    refined = k_minimalize(inst, mi.system.k)
+    if refined.empty_flag:
+        raise LemmaViolation(failure)
+    return make_subdirect(refined)
+
+
 def reduce_to_ideal(mi: MinimalizedInstance, coord: int, ideal):
     """Shrink one domain onto a proper ideal and re-minimalize.
 
     Returns (instance, maps).  The restricted system is guaranteed to stay
     nonempty with the coordinate's domain landing exactly on the ideal.
-    Constraints wider than the entry level are filtered tuplewise, which
-    needs the global regime (k at least the squared maximum domain size);
-    the regime is derived from the instance and k, and in the local regime
-    reduce_constraint_RJ refuses such a constraint with ValueError.
+    The new instance is the restricted level entries plus the wide
+    constraints filtered tuplewise; lower entries are projections of the
+    level entries and need not ride along.  Tuplewise filtering needs k at
+    least the squared largest domain size of the constraint's scope; below
+    that reduce_constraint_RJ refuses with ValueError.
     """
     doms = mi.base.sig.domains
-    mode = choose_mode(mi.base, mi.system.k)
-    red = build_lambda_J(mi.system, coord, ideal, doms[coord], mode)
-    level = red.level
-
-    new_constraints = []
+    red = build_lambda_J(mi.system, coord, ideal, doms[coord])
+    constraints = [Constraint(I, rel) for I, rel in red.lamj.items()]
     for c in mi.base.constraints:
-        if len(c.scope) < level:
-            new_constraints.append(Constraint(c.scope, red.derived(c.scope)))
-        elif len(c.scope) == level:
-            new_constraints.append(Constraint(c.scope, red.entry(c.scope)))
-        else:
-            filtered = reduce_constraint_RJ(
-                c.rel, c.scope, red, scope_algebras(mi.base, c.scope)
-            )
-            new_constraints.append(Constraint(c.scope, filtered))
-    covered = {c.scope for c in new_constraints}
-    for I in mi.system.level_sets():
-        if I not in covered:
-            new_constraints.append(Constraint(I, red.entry(I)))
-
-    inst = Instance(mi.base.sig, tuple(new_constraints), mi.base.k)
-    refined = k_minimalize(inst, mi.system.k)
-    if refined.empty_flag:
-        raise LemmaViolation(
-            f"system emptied while restricting variable {coord} to {set(ideal)}"
+        filtered = reduce_constraint_RJ(
+            c.rel, c.scope, red, scope_algebras(mi.base, c.scope)
         )
-    shrunk, maps = make_subdirect(refined)
+        constraints.append(Constraint(c.scope, filtered))
+    shrunk, maps = _reminimalize(
+        mi,
+        constraints,
+        f"system emptied while restricting variable {coord} to {set(ideal)}",
+    )
     if set(maps[coord]) != set(ideal):
         raise LemmaViolation(
             f"variable {coord} landed on {set(maps[coord])}, expected {set(ideal)}"
@@ -381,18 +377,18 @@ def pullback(mi: MinimalizedInstance, plan: QuotientPlan, q_solution):
             raise LemmaViolation(f"pullback emptied the relation on {scope}")
         return Relation(rel.sizes, kept)
 
+    # a filtered lower entry that empties also empties every filtered level
+    # entry above it, so checking the level entries loses nothing
     constraints = [
+        Constraint(I, filter_rel(mi.system.entry(I), I))
+        for I in mi.system.level_sets()
+    ]
+    constraints += [
         Constraint(c.scope, filter_rel(c.rel, c.scope)) for c in mi.base.constraints
     ]
-    covered = {c.scope for c in constraints}
-    for I, rel in mi.system.entries.items():
-        if I not in covered:
-            constraints.append(Constraint(I, filter_rel(rel, I)))
-    inst = Instance(mi.base.sig, tuple(constraints), mi.base.k)
-    refined = k_minimalize(inst, mi.system.k)
-    if refined.empty_flag:
-        raise LemmaViolation("pullback emptied the system during re-minimalization")
-    return make_subdirect(refined)
+    return _reminimalize(
+        mi, constraints, "pullback emptied the system during re-minimalization"
+    )
 
 
 def choose_k(inst: Instance) -> int:
@@ -401,11 +397,6 @@ def choose_k(inst: Instance) -> int:
         return 3
     biggest = max(a.size for a in inst.sig.domains)
     return max(3, biggest * biggest)
-
-
-def choose_mode(inst: Instance, k: int) -> str:
-    biggest = max(a.size for a in inst.sig.domains)
-    return "global" if k >= biggest * biggest else "local"
 
 
 def _reduce_step(mi: MinimalizedInstance, k: int):
@@ -457,8 +448,8 @@ def solve(inst: Instance, k: int | None = None) -> SolveOutcome:
     if k < 3:
         raise ValueError("the pipeline needs k at least 3")
     arity = max((len(c.scope) for c in inst.constraints), default=1)
-    if arity > k and choose_mode(inst, k) == "local":
-        biggest = max(a.size for a in inst.sig.domains)
+    biggest = max(a.size for a in inst.sig.domains)
+    if arity > k and k < biggest * biggest:
         raise ValueError(
             f"arity {arity} exceeds k={k}; wide constraints need k >= {biggest * biggest}"
         )

@@ -133,6 +133,23 @@ class TestFixpointProperties:
                         pos = tuple(c.scope.index(v) for v in I)
                         assert project(c.rel, pos) == mi.system.entry(I)
 
+    def test_base_keeps_only_constraints_wider_than_level(self):
+        # at k=2 the arity-3 constraints are wide and the others narrow
+        narrow = 0
+        for inst in rand_instances(15, start=41, vars_range=(3, 5)):
+            mi = k_minimalize(inst, 2)
+            if mi.empty_flag:
+                continue
+            level = mi.system.level
+            assert {c.scope for c in mi.base.constraints} == {
+                c.scope for c in inst.constraints if len(c.scope) > level
+            }
+            for c in inst.constraints:
+                if len(c.scope) <= level:
+                    assert set(mi.system.entry(c.scope).tuples) <= set(c.rel.tuples)
+                    narrow += 1
+        assert narrow
+
     def test_top_entry_is_solution_set_when_vars_fit(self):
         matched = 0
         for inst in rand_instances(25, start=29, vars_range=(3, 3)):

@@ -197,7 +197,7 @@ class TestBuildLambdaJ:
             maj2,
             [((0, 1), EQ2), ((0, 2), FULL2), ((1, 2), FULL2)],
         )
-        red = build_lambda_J(entry_system(inst, 2), 0, frozenset({0}), maj2, mode="local")
+        red = build_lambda_J(entry_system(inst, 2), 0, frozenset({0}), maj2)
         assert red.level == 2
         assert red.lamj[(0, 1)].tuples == ((0, 0),)
         assert red.lamj[(0, 2)].tuples == ((0, 0), (0, 1))
@@ -208,10 +208,11 @@ class TestBuildLambdaJ:
             maj2,
             [((0, 1), EQ2), ((0, 2), FULL2), ((1, 2), FULL2)],
         )
-        red = build_lambda_J(entry_system(inst, 2), 0, frozenset({0}), maj2, mode="local")
-        assert red.derived((0,)).tuples == ((0,),)
-        assert red.derived((1,)).tuples == ((0,),)
-        assert red.derived((2,)).tuples == ((0,), (1,))
+        red = build_lambda_J(entry_system(inst, 2), 0, frozenset({0}), maj2)
+        expected = {0: ((0,),), 1: ((0,),), 2: ((0,), (1,))}
+        for I, rel in red.lamj.items():
+            for pos, v in enumerate(I):
+                assert project(rel, (pos,)).tuples == expected[v]
 
     def test_pairwise_consistent_but_insoluble_system_raises(self, maj2):
         # two-variable agreement alone cannot support the restriction
@@ -229,7 +230,7 @@ class TestBuildLambdaJ:
             },
         )
         with pytest.raises(LemmaViolation):
-            build_lambda_J(system, 0, frozenset({0}), maj2, mode="local")
+            build_lambda_J(system, 0, frozenset({0}), maj2)
 
     def test_rejects_non_ideal(self, dd2):
         # {0} is not left-multiplication closed in the switch algebra
@@ -344,7 +345,7 @@ class TestReduceConstraintRJ:
 
     def test_filter_matches_manual_rule(self):
         mi, doms, ideal, wide = self.find_reducible()
-        red = build_lambda_J(mi.system, 0, ideal, doms[0], mode="global")
+        red = build_lambda_J(mi.system, 0, ideal, doms[0])
         for con in wide:
             algs = tuple(doms[v] for v in con.scope)
             out = reduce_constraint_RJ(con.rel, con.scope, red, algs)
@@ -364,6 +365,15 @@ class TestReduceConstraintRJ:
             maj2,
             [((0, 1), EQ2), ((0, 2), FULL2), ((1, 2), FULL2)],
         )
-        red = build_lambda_J(entry_system(inst, 2), 0, frozenset({0}), maj2, mode="local")
+        red = build_lambda_J(entry_system(inst, 2), 0, frozenset({0}), maj2)
         with pytest.raises(ValueError):
             reduce_constraint_RJ(Relation.full((2, 2, 2)), (0, 1, 2), red)
+
+    def test_level_below_squared_size_refuses(self, maj2):
+        # level 3 < 2*2: a size-2 reduction cannot filter an arity-4 constraint
+        full4 = tuple(itertools.product(range(2), repeat=4))
+        inst = mk_instance(maj2, [((0, 1, 2, 3), full4)])
+        red = build_lambda_J(entry_system(inst, 3), 0, frozenset({0}), maj2)
+        assert red.level == 3
+        with pytest.raises(ValueError):
+            reduce_constraint_RJ(Relation((2,) * 4, full4), (0, 1, 2, 3), red)

@@ -1,4 +1,4 @@
-"""Relations, joins, invariance, subpower generation, instances."""
+"""Relations, projections, invariance, subpower generation, instances."""
 
 import itertools
 import random
@@ -20,7 +20,6 @@ from cd3csp import (
     is_invariant,
     is_subdirect,
     majority_algebra,
-    natural_join,
     project,
     satisfies,
     switch_algebra,
@@ -79,67 +78,6 @@ class TestRelation:
             project(r, (1, 0))
         with pytest.raises(ValueError):
             project(r, (0, 0))
-
-
-class TestNaturalJoin:
-    def test_chain_of_equalities(self):
-        eq = Relation((2, 2), EQ2)
-        scope, joined = natural_join(eq, (0, 1), eq, (1, 2))
-        assert scope == (0, 1, 2)
-        assert joined.tuples == ((0, 0, 0), (1, 1, 1))
-
-    def test_disjoint_scopes_give_product(self):
-        eq = Relation((2, 2), EQ2)
-        scope, joined = natural_join(eq, (0, 1), eq, (2, 3))
-        assert scope == (0, 1, 2, 3)
-        assert len(joined) == 4
-
-    def test_mismatched_shared_domain(self):
-        r1 = Relation((2, 2), EQ2)
-        r2 = Relation((3, 2), ((0, 0), (2, 1)))
-        with pytest.raises(ValueError):
-            natural_join(r1, (0, 1), r2, (1, 2))
-
-    def test_join_matches_filtered_product(self):
-        rng = random.Random(17)
-        for _ in range(40):
-            n1, n2 = rng.randint(1, 3), rng.randint(1, 3)
-            scope1 = tuple(sorted(rng.sample(range(5), n1)))
-            scope2 = tuple(sorted(rng.sample(range(5), n2)))
-            sizes1 = tuple(rng.randint(2, 3) for _ in scope1)
-            shared = set(scope1) & set(scope2)
-            sizes2 = tuple(
-                sizes1[scope1.index(v)] if v in shared else rng.randint(2, 3)
-                for v in scope2
-            )
-            r1 = Relation(
-                sizes1,
-                tuple(
-                    t
-                    for t in itertools.product(*(range(s) for s in sizes1))
-                    if rng.random() < 0.6
-                ),
-            )
-            r2 = Relation(
-                sizes2,
-                tuple(
-                    t
-                    for t in itertools.product(*(range(s) for s in sizes2))
-                    if rng.random() < 0.6
-                ),
-            )
-            out_scope, joined = natural_join(r1, scope1, r2, scope2)
-            assert out_scope == tuple(sorted(set(scope1) | set(scope2)))
-            sizes = dict(zip(scope1, sizes1)) | dict(zip(scope2, sizes2))
-            expected = set()
-            for t in itertools.product(*(range(sizes[v]) for v in out_scope)):
-                a = dict(zip(out_scope, t))
-                if (
-                    tuple(a[v] for v in scope1) in r1
-                    and tuple(a[v] for v in scope2) in r2
-                ):
-                    expected.add(t)
-            assert set(joined.tuples) == expected
 
 
 class TestInvariance:

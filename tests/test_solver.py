@@ -21,8 +21,9 @@ from cd3csp import (
     almost_trivial_decomposition,
     base_case_solve,
     brute_force_solve,
+    build_lambda_J,
     choose_k,
-    choose_mode,
+    effective_instance,
     gen_cd3_algebra,
     gen_instance,
     generated_subpower,
@@ -30,8 +31,10 @@ from cd3csp import (
     k_minimalize,
     make_subdirect,
     product_algebra,
+    project,
     pullback,
     quotient_reduce,
+    reduce_constraint_RJ,
     reduce_to_ideal,
     satisfies,
     solve,
@@ -193,6 +196,23 @@ def relabelled(alg, perm):
     return Algebra(alg.size, ops, alg.jonsson)
 
 
+def reminimalized(mi, constraints):
+    """make_subdirect of the k-minimal fixpoint of constraints on mi's domains."""
+    refined = k_minimalize(Instance(mi.base.sig, tuple(constraints), mi.base.k), mi.system.k)
+    assert not refined.empty_flag
+    return make_subdirect(refined)
+
+
+def assert_same_result(got, want):
+    """Same maps, domains and entries; base only the wide constraints."""
+    (mi, maps), (ref, ref_maps) = got, want
+    assert maps == ref_maps
+    assert mi.base.sig == ref.base.sig
+    assert mi.system.entries == ref.system.entries
+    assert all(len(c.scope) > mi.system.level for c in mi.base.constraints)
+    assert mi.base.constraints == ref.base.constraints
+
+
 class TestReduceToIdeal:
     def test_majority_domains_collapse_to_ideal(self, maj2):
         inst = mk_instance(
@@ -226,15 +246,59 @@ class TestReduceToIdeal:
             ideal = some_proper_ideal(doms[target])
             out, maps = reduce_to_ideal(mi, target, ideal)
             # every solution of the reduced system lifts to one of the intermediate system
-            eff = out.base
+            eff = effective_instance(out)
+            source = effective_instance(mi)
             sizes = [a.size for a in eff.sig.domains]
             found = 0
             for assign in itertools.product(*(range(s) for s in sizes)):
                 if satisfies(eff, assign):
                     lifted = tuple(maps[v][x] for v, x in enumerate(assign))
-                    assert satisfies(mi.base, lifted)
+                    assert satisfies(source, lifted)
                     found += 1
             assert found > 0
+            done += 1
+
+    def test_matches_ride_along_reference(self):
+        # reference: every relation of the system re-minimalized, those
+        # below the level as projections of the restricted entries, level
+        # sets as the restricted entries, wider ones filtered tuplewise
+        rng = random.Random(83)
+        done = 0
+        while done < 10:
+            if done % 2:
+                inst, k = rand_instance(rng, vars_range=(4, 5)), 3
+            else:
+                alg = gen_cd3_algebra(
+                    GeneratorConfig(seed=rng.randrange(2**32), domain_size=2)
+                )
+                inst, k = planted_instance(rng, alg, 6, (5, 4, 3), 2), 4
+            mi = k_minimalize(inst, k)
+            if mi.empty_flag:
+                continue
+            mi, _ = make_subdirect(mi)
+            doms = mi.base.sig.domains
+            coord = next(
+                (i for i, a in enumerate(doms) if some_proper_ideal(a) is not None),
+                None,
+            )
+            if coord is None:
+                continue
+            ideal = some_proper_ideal(doms[coord])
+            red = build_lambda_J(mi.system, coord, ideal, doms[coord])
+            constraints = []
+            for c in effective_instance(mi).constraints:
+                if len(c.scope) < red.level:
+                    key = min(I for I in red.lamj if set(c.scope) <= set(I))
+                    rel = project(red.lamj[key], [key.index(v) for v in c.scope])
+                elif len(c.scope) == red.level:
+                    rel = red.lamj[c.scope]
+                else:
+                    algs = tuple(doms[v] for v in c.scope)
+                    rel = reduce_constraint_RJ(c.rel, c.scope, red, algs)
+                constraints.append(Constraint(c.scope, rel))
+            assert_same_result(
+                reduce_to_ideal(mi, coord, ideal), reminimalized(mi, constraints)
+            )
             done += 1
 
 
@@ -331,15 +395,52 @@ class TestPullback:
             before = mi.base.sig.domains[coord].size
             mi2, maps = pullback(mi, plan, q_out.solution)
             assert len(set(maps[coord])) < before
-            eff = mi2.base
+            eff = effective_instance(mi2)
+            source = effective_instance(mi)
             sizes = [a.size for a in eff.sig.domains]
             lifted_any = False
             for assign in itertools.product(*(range(s) for s in sizes)):
                 if satisfies(eff, assign):
                     lifted = tuple(maps[v][x] for v, x in enumerate(assign))
-                    assert satisfies(mi.base, lifted)
+                    assert satisfies(source, lifted)
                     lifted_any = True
             assert lifted_any
+            done += 1
+
+    def test_matches_ride_along_reference(self):
+        # reference: every relation of the system filtered to the chosen
+        # quotient classes and re-minimalized
+        rng = random.Random(89)
+        done = 0
+        helper = TestQuotientReduce()
+        while done < 10:
+            mi, coord = helper.find_splittable(rng)
+            plan, q_inst = quotient_reduce(mi, coord)
+            q_sol = brute_force_solve(q_inst).solution
+            if q_sol is None:
+                continue
+            doms = mi.base.sig.domains
+            allowed = [
+                {a for a in range(d.size) if i not in plan.maps or plan.maps[i][a] == q_sol[i]}
+                for i, d in enumerate(doms)
+            ]
+            constraints = [
+                Constraint(
+                    c.scope,
+                    Relation(
+                        c.rel.sizes,
+                        tuple(
+                            t
+                            for t in c.rel.tuples
+                            if all(x in allowed[v] for v, x in zip(c.scope, t))
+                        ),
+                    ),
+                )
+                for c in effective_instance(mi).constraints
+            ]
+            assert_same_result(
+                pullback(mi, plan, q_sol), reminimalized(mi, constraints)
+            )
             done += 1
 
 
@@ -351,8 +452,6 @@ class TestChoices:
             maj2, [((0, 1, 2, 3), tuple(itertools.product(range(2), repeat=4)))]
         )
         assert choose_k(wide) == 4
-        assert choose_mode(wide, 4) == "global"
-        assert choose_mode(wide, 3) == "local"
 
     def test_wide_scope_with_big_domain(self):
         alg = gen_cd3_algebra(GeneratorConfig(seed=2, domain_size=3))
