@@ -298,9 +298,13 @@ def reduce_constraint_RJ(
 ) -> Relation:
     """Keep the tuples whose level-size projections all lie in the
     restricted entries.  Valid in the global regime, where the level is at
-    least the squared maximum domain size of the constraint; below it the
-    filter is refused with ValueError."""
-    biggest = max(rel.sizes)
+    least the squared largest domain size of the whole system, as `solve`
+    requires of an instance with constraints wider than k; below it the
+    filter is refused with ValueError.  The restricted entries cover every
+    variable, so their sizes give the system's domains."""
+    biggest = max(
+        itertools.chain(rel.sizes, *(lam.sizes for lam in reduction.lamj.values()))
+    )
     if reduction.level < biggest * biggest:
         raise ValueError(
             f"tuplewise constraint filtering needs level >= {biggest * biggest}, got {reduction.level}"

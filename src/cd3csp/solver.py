@@ -257,8 +257,8 @@ def reduce_to_ideal(mi: MinimalizedInstance, coord: int, ideal):
     The new instance is the restricted level entries plus the wide
     constraints filtered tuplewise; lower entries are projections of the
     level entries and need not ride along.  Tuplewise filtering needs k at
-    least the squared largest domain size of the constraint's scope; below
-    that reduce_constraint_RJ refuses with ValueError.
+    least the squared largest domain size of the instance; below that
+    reduce_constraint_RJ refuses with ValueError.
     """
     doms = mi.base.sig.domains
     red = build_lambda_J(mi.system, coord, ideal, doms[coord])

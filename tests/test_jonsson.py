@@ -377,3 +377,19 @@ class TestReduceConstraintRJ:
         assert red.level == 3
         with pytest.raises(ValueError):
             reduce_constraint_RJ(Relation((2,) * 4, full4), (0, 1, 2, 3), red)
+
+    def test_level_below_squared_size_of_any_domain_refuses(self, maj2, dd2sq):
+        # The regime belongs to the whole system, as in solve: level 4 covers
+        # the size-2 domains of the arity-5 constraint, but not the size-4
+        # domain of variable 5, which lies outside its scope.
+        full5 = Relation.full((2,) * 5)
+
+        def reduction(extra):
+            sig = Signature((maj2,) * 5 + (extra,))
+            inst = Instance(sig, (Constraint((0, 1, 2, 3, 4), full5),))
+            return build_lambda_J(entry_system(inst, 4), 0, frozenset({0}), maj2)
+
+        out = reduce_constraint_RJ(full5, (0, 1, 2, 3, 4), reduction(maj2))
+        assert out.tuples == tuple(t for t in full5.tuples if t[0] == 0)
+        with pytest.raises(ValueError):
+            reduce_constraint_RJ(full5, (0, 1, 2, 3, 4), reduction(dd2sq))

@@ -227,6 +227,23 @@ class TestReduceToIdeal:
         # remaining coordinates keep whatever the propagation allows
         assert not out.empty_flag
 
+    def test_wide_constraint_needs_k_at_least_square_of_every_domain(
+        self, maj2, dd2sq
+    ):
+        # k = 4 covers the constraint's size-2 domains; the size-4 domain of
+        # variable 5 outside its scope still needs k >= 16, as in solve.
+        full5 = Relation.full((2,) * 5)
+        for extra, refused in ((maj2, False), (dd2sq, True)):
+            sig = Signature((maj2,) * 5 + (extra,))
+            inst = Instance(sig, (Constraint((0, 1, 2, 3, 4), full5),))
+            mi, _ = make_subdirect(k_minimalize(inst, 4))
+            if refused:
+                with pytest.raises(ValueError):
+                    reduce_to_ideal(mi, 0, frozenset({0}))
+            else:
+                _, maps = reduce_to_ideal(mi, 0, frozenset({0}))
+                assert maps[0] == (0,)
+
     def test_solutions_survive_restriction(self):
         rng = random.Random(67)
         done = 0
@@ -350,21 +367,29 @@ class TestQuotientReduce:
                 assert i not in plan.maps
 
     def test_quotient_images_of_solutions_solve_quotient(self):
+        # Draws whose instance admits every assignment select nothing, so the
+        # test keeps drawing until three instances have rejected some.
         rng = random.Random(73)
-        mi, coord = self.find_splittable(rng)
-        plan, q_inst = quotient_reduce(mi, coord)
-        doms = mi.base.sig.domains
-        phi = [
-            plan.maps.get(i, tuple(range(doms[i].size))) for i in range(len(doms))
-        ]
-        sizes = [a.size for a in doms]
-        checked = 0
-        for assign in itertools.product(*(range(s) for s in sizes)):
-            if satisfies(mi.base, assign):
-                image = tuple(phi[v][x] for v, x in enumerate(assign))
-                assert satisfies(q_inst, image)
-                checked += 1
-        assert checked > 0
+        selective = 0
+        while selective < 3:
+            mi, coord = self.find_splittable(rng)
+            plan, q_inst = quotient_reduce(mi, coord)
+            doms = mi.base.sig.domains
+            phi = [
+                plan.maps.get(i, tuple(range(doms[i].size)))
+                for i in range(len(doms))
+            ]
+            sizes = [a.size for a in doms]
+            eff = effective_instance(mi)
+            checked = total = 0
+            for assign in itertools.product(*(range(s) for s in sizes)):
+                total += 1
+                if satisfies(eff, assign):
+                    image = tuple(phi[v][x] for v, x in enumerate(assign))
+                    assert satisfies(q_inst, image)
+                    checked += 1
+            assert checked > 0
+            selective += checked < total
 
     def test_refuses_simple_domain(self, dd2):
         inst = mk_instance(dd2, [((0, 1), SWAP), ((1, 2), SWAP), ((2, 3), SWAP)])
