@@ -239,32 +239,38 @@ def make_subdirect(mi: MinimalizedInstance):
     if all(len(v) == d.size for v, d in zip(values, doms)):
         return mi, [tuple(range(d.size)) for d in doms]
 
-    new_doms, maps, index = [], [], []
+    new_doms, maps, index = list(doms), values, [None] * n
     for i in range(n):
-        if len(values[i]) == doms[i].size:
-            sub, emb = doms[i], values[i]
-        else:
-            sub, emb = restrict(doms[i], values[i])
-        new_doms.append(sub)
-        maps.append(emb)
-        index.append({old: new for new, old in enumerate(emb)})
+        if len(values[i]) < doms[i].size:
+            new_doms[i], maps[i] = restrict(doms[i], values[i])
+            index[i] = {old: new for new, old in enumerate(maps[i])}
+    return _relabel(mi, new_doms, index), maps
+
+
+def _relabel(mi: MinimalizedInstance, domains, index) -> MinimalizedInstance:
+    """mi's entries and wide constraints with every value relabelled.
+
+    index[v] sends variable v's old labels to labels of domains[v]; None
+    keeps them.  A relation whose variables all keep their labels is
+    reused.  Relabelling per variable commutes with projection, so the
+    image of a k-minimal system is k-minimal.
+    """
 
     def remap(rel: Relation, scope) -> Relation:
-        new_sizes = tuple(new_doms[v].size for v in scope)
-        mapped = tuple(
-            tuple(index[v][x] for v, x in zip(scope, t)) for t in rel.tuples
-        )
-        return Relation(new_sizes, mapped)
+        if all(index[v] is None for v in scope):
+            return rel
+        fs = [range(s) if index[v] is None else index[v] for s, v in zip(rel.sizes, scope)]
+        mapped = tuple(tuple(f[x] for f, x in zip(fs, t)) for t in rel.tuples)
+        return Relation(tuple(domains[v].size for v in scope), mapped)
 
-    sig = Signature(tuple(new_doms))
     base = Instance(
-        sig,
+        Signature(tuple(domains)),
         tuple(Constraint(c.scope, remap(c.rel, c.scope)) for c in mi.base.constraints),
         mi.base.k,
     )
     entries = {I: remap(rel, I) for I, rel in mi.system.entries.items()}
-    system = KSystem(mi.system.k, n, entries)
-    return MinimalizedInstance(base, system, False, None), maps
+    system = KSystem(mi.system.k, mi.system.nvars, entries)
+    return MinimalizedInstance(base, system, False, None)
 
 
 def effective_instance(mi: MinimalizedInstance) -> Instance:

@@ -192,8 +192,6 @@ def classify_binary(rel: Relation, alg_a: Algebra, alg_b: Algebra) -> BinaryClas
 class IdealReduction:
     """Ideal-restricted entry relations on all level-size variable sets."""
 
-    coord: int
-    ideal: frozenset
     level: int
     lamj: dict
 
@@ -267,7 +265,7 @@ def build_lambda_J(
                     f"entry on {I} projects onto {seen} at the coordinate, expected {set(ideal)}"
                 )
     _check_agreement(lamj)
-    return IdealReduction(coord, ideal, level, lamj)
+    return IdealReduction(level, lamj)
 
 
 def _check_agreement(lamj: dict) -> None:

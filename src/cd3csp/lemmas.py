@@ -455,8 +455,8 @@ def suite_pullback(trials=25, seed=0) -> SuiteReport:
         if not coords:
             continue
         coord = coords[0]
-        plan, q_inst = quotient_reduce(mi, coord)
-        q_out = brute_force_solve(q_inst)
+        plan, q_mi = quotient_reduce(mi, coord)
+        q_out = brute_force_solve(effective_instance(q_mi))
         if q_out.solution is None:
             continue
         before = doms[coord].size

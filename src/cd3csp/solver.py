@@ -1,15 +1,17 @@
 """Decision pipeline for instances over algebras with a two-step chain.
 
-The solver propagates to a k-minimal fixpoint and then shrinks domains
-until the instance is directly readable: restrict a domain toward a proper
-ideal whenever one exists, otherwise split a non-simple domain through a
-maximal congruence, solve the quotient instance recursively and pull one
-solution class back.  Once every domain is simple (or one-element) with no
-proper ideal, the pairwise entries decompose into bijection graphs and
-full products, and a lexicographically least assignment is assembled
-classwise.  Every shape the theory guarantees is asserted; a failed
-assertion raises LemmaViolation, and a failed final assembly falls back to
-exhaustive search with a diagnostics flag on the outcome.
+The solver validates and propagates the input to a k-minimal fixpoint
+once, then shrinks domains until the system is directly readable: restrict
+a domain toward a proper ideal whenever one exists, otherwise split a
+non-simple domain through a maximal congruence, reduce and assemble the
+image k-system with the same loop and pull one solution class back.  Once
+every domain is simple (or one-element) with no proper ideal, the pairwise
+entries decompose into bijection graphs and full products, and a
+lexicographically least assignment is assembled classwise.  Every shape
+the theory guarantees is asserted, and a failed assertion raises
+LemmaViolation.  Only the top-level assembly falls back to exhaustive
+search, with a diagnostics flag on the outcome; an assembly inside a
+quotient split raises.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .algebra import (
 )
 from .consistency import (
     MinimalizedInstance,
-    effective_instance,
+    _relabel,
     k_minimalize,
     make_subdirect,
 )
@@ -43,7 +45,6 @@ from .relation import (
     Constraint,
     Instance,
     Relation,
-    Signature,
     project,
     satisfies,
     scope_algebras,
@@ -66,13 +67,12 @@ class SolveOutcome:
 class QuotientPlan:
     """How one non-simple coordinate splits the instance.
 
-    members lists the coordinates tied to the split coordinate by a
-    functional pairwise entry; maps sends each member's elements onto the
-    split coordinate's quotient labels.
+    maps has a key for the split coordinate and for every coordinate tied
+    to it by a functional pairwise entry, and sends that coordinate's
+    elements onto the split coordinate's quotient labels.
     """
 
     coord: int
-    members: tuple[int, ...]
     maps: dict
 
 
@@ -285,26 +285,24 @@ def quotient_reduce(mi: MinimalizedInstance, coord: int):
 
     Classifies every pairwise entry against the quotient: coordinates tied
     by a functional shape join the split (their kernel is pulled in), the
-    rest stay untouched.  Returns the plan and the quotient instance.
+    rest stay untouched.  Returns the plan and the quotient system: mi's
+    entries and wide constraints relabelled through the plan's maps, which
+    is again k-minimal (and subdirect when mi is).
     """
     doms = mi.base.sig.domains
-    alg = doms[coord]
-    if alg.size < 2 or is_simple(alg):
-        raise ValueError(f"domain {coord} has no proper congruence to split on")
     for i, a in enumerate(doms):
         if not is_jonsson_trivial(a):
             raise ValueError(f"domain {i} still has a proper ideal; reduce it first")
 
-    theta1 = maximal_proper_congruence(alg)
+    theta1 = maximal_proper_congruence(doms[coord])
     if theta1 is None:
         raise ValueError(f"domain {coord} has no proper congruence")
-    qalg, proj = quotient(alg, theta1)
+    qalg, proj = quotient(doms[coord], theta1)
     if not is_simple(qalg):
         raise LemmaViolation("quotient by a maximal congruence failed to be simple")
     if not is_jonsson_trivial(qalg):
         raise LemmaViolation("quotient lost ideal-freeness")
 
-    members = [coord]
     maps = {coord: tuple(proj)}
     for i in range(len(doms)):
         if i == coord:
@@ -319,28 +317,11 @@ def quotient_reduce(mi: MinimalizedInstance, coord: int):
         )
         shape = classify_binary(lifted, qalg, doms[i])
         if shape.kind == "hom_graph":
-            members.append(i)
             maps[i] = shape.hom
 
-    plan = QuotientPlan(coord, tuple(sorted(members)), maps)
-
-    q_domains = tuple(qalg if i in maps else doms[i] for i in range(len(doms)))
-    phi = [maps.get(i, tuple(range(doms[i].size))) for i in range(len(doms))]
-    flat = effective_instance(mi)
-    q_constraints = tuple(
-        Constraint(
-            c.scope,
-            Relation(
-                tuple(q_domains[v].size for v in c.scope),
-                tuple(
-                    tuple(phi[v][x] for v, x in zip(c.scope, t)) for t in c.rel.tuples
-                ),
-            ),
-        )
-        for c in flat.constraints
-    )
-    q_inst = Instance(Signature(q_domains), q_constraints, mi.base.k)
-    return plan, q_inst
+    plan = QuotientPlan(coord, maps)
+    q_domains = [qalg if i in maps else a for i, a in enumerate(doms)]
+    return plan, _relabel(mi, q_domains, [maps.get(i) for i in range(len(doms))])
 
 
 def pullback(mi: MinimalizedInstance, plan: QuotientPlan, q_solution):
@@ -399,12 +380,14 @@ def choose_k(inst: Instance) -> int:
     return max(3, biggest * biggest)
 
 
-def _reduce_step(mi: MinimalizedInstance, k: int):
+def _reduce_step(mi: MinimalizedInstance):
     """Shrink one domain: onto a proper ideal if any domain has one, else
     through a quotient split of a non-simple domain.
 
-    Returns (instance, maps, step name), or None when every domain is
-    simple (or one-element) with no proper ideal.
+    Returns (system, maps, step name), or None when every domain is simple
+    (or one-element) with no proper ideal.  A quotient split reduces and
+    assembles the quotient system with the same loop, then pulls its
+    solution back.
     """
     doms = mi.base.sig.domains
     for i, a in enumerate(doms):
@@ -413,12 +396,30 @@ def _reduce_step(mi: MinimalizedInstance, k: int):
             return (*reduce_to_ideal(mi, i, ideal), "ideal restriction")
     for i, a in enumerate(doms):
         if a.size >= 2 and not is_simple(a):
-            plan, q_inst = quotient_reduce(mi, i)
-            q_out = solve(q_inst, k=k)
-            if q_out.solution is None:
-                raise LemmaViolation("quotient instance is unexpectedly unsatisfiable")
-            return (*pullback(mi, plan, q_out.solution), "quotient split")
+            plan, q_mi = quotient_reduce(mi, i)
+            q_last, q_maps = _reduce(q_mi)
+            q_sol = tuple(m[x] for m, x in zip(q_maps, base_case_solve(q_last)))
+            return (*pullback(mi, plan, q_sol), "quotient split")
     return None
+
+
+def _reduce(mi: MinimalizedInstance):
+    """Apply reduction steps until none applies.
+
+    Returns (last system, maps), where maps[i] sends the last system's
+    elements of variable i back to mi's.  Raises LemmaViolation when a
+    step fails to shrink the domains.
+    """
+    total = [tuple(range(a.size)) for a in mi.base.sig.domains]
+    while True:
+        total_size = sum(a.size for a in mi.base.sig.domains)
+        stepped = _reduce_step(mi)
+        if stepped is None:
+            return mi, total
+        mi, step, name = stepped
+        total = _compose_maps(total, step)
+        if sum(a.size for a in mi.base.sig.domains) >= total_size:
+            raise LemmaViolation(f"{name} failed to shrink the instance")
 
 
 def solve(inst: Instance, k: int | None = None) -> SolveOutcome:
@@ -472,16 +473,8 @@ def solve(inst: Instance, k: int | None = None) -> SolveOutcome:
             raise LemmaViolation("nonempty system carries an empty top entry")
         return finish(top.tuples[0])
 
-    while True:
-        total_size = sum(a.size for a in mi.base.sig.domains)
-        stepped = _reduce_step(mi, k)
-        if stepped is None:
-            break
-        mi, step, name = stepped
-        total = _compose_maps(total, step)
-        if sum(a.size for a in mi.base.sig.domains) >= total_size:
-            raise LemmaViolation(f"{name} failed to shrink the instance")
-
+    mi, step = _reduce(mi)
+    total = _compose_maps(total, step)
     try:
         return finish(base_case_solve(mi))
     except LemmaViolation:

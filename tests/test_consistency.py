@@ -249,6 +249,20 @@ class TestMakeSubdirect:
         assert maps == [(0, 1), (0, 1)]
         assert shrunk.base.sig.domains == mi.base.sig.domains
 
+    def test_relations_over_unshrunk_variables_are_reused(self, maj2):
+        # k=2 leaves the arity-3 constraint wide; only variable 0 shrinks
+        full3 = tuple(itertools.product(range(2), repeat=3))
+        inst = mk_instance(
+            maj2, [((0,), ((1,),)), ((0, 1), FULL2), ((1, 2, 3), full3)]
+        )
+        mi = k_minimalize(inst, 2)
+        shrunk, _ = make_subdirect(mi)
+        assert [a.size for a in shrunk.base.sig.domains] == [1, 2, 2, 2]
+        for I, rel in mi.system.entries.items():
+            assert (shrunk.system.entry(I) is rel) == (0 not in I), I
+        (wide,) = mi.base.constraints
+        assert shrunk.base.constraints[0].rel is wide.rel
+
     def test_solutions_map_back(self):
         for inst in rand_instances(15, start=37, vars_range=(3, 4)):
             mi = k_minimalize(inst, 3)

@@ -1,6 +1,7 @@
 """Decision pipeline: brute force, decomposition, base case, reductions,
 quotient splits, pullback, and the public solve entry point."""
 
+import collections
 import itertools
 import random
 
@@ -320,7 +321,7 @@ class TestReduceToIdeal:
 
 
 class TestQuotientReduce:
-    def build_square_instance(self, rng):
+    def build_square_instance(self, rng, max_arity=3):
         base = switch_algebra(2)
         alg = product_algebra(base, base)
         cfg = GeneratorConfig(
@@ -328,14 +329,14 @@ class TestQuotientReduce:
             domain_size=4,
             num_vars=rng.randint(4, 5),
             num_constraints=rng.randint(3, 5),
-            max_arity=3,
+            max_arity=max_arity,
             subpower_seeds=rng.randint(2, 4),
         )
         return gen_instance(alg, cfg)
 
-    def find_splittable(self, rng):
+    def find_splittable(self, rng, max_arity=3):
         while True:
-            inst = self.build_square_instance(rng)
+            inst = self.build_square_instance(rng, max_arity)
             mi = k_minimalize(inst, 3)
             if mi.empty_flag:
                 continue
@@ -352,19 +353,19 @@ class TestQuotientReduce:
     def test_members_share_the_quotient(self):
         rng = random.Random(71)
         mi, coord = self.find_splittable(rng)
-        plan, q_inst = quotient_reduce(mi, coord)
-        assert coord in plan.members
+        plan, q_mi = quotient_reduce(mi, coord)
+        q_inst = effective_instance(q_mi)
+        assert coord in plan.maps
         doms = mi.base.sig.domains
         qsize = q_inst.sig.domains[coord].size
         assert qsize < doms[coord].size
-        for i in plan.members:
+        for i in plan.maps:
             assert q_inst.sig.domains[i].size == qsize
             assert len(plan.maps[i]) == doms[i].size
             assert set(plan.maps[i]) == set(range(qsize))
         for i in range(len(doms)):
-            if i not in plan.members:
+            if i not in plan.maps:
                 assert q_inst.sig.domains[i] == doms[i]
-                assert i not in plan.maps
 
     def test_quotient_images_of_solutions_solve_quotient(self):
         # Draws whose instance admits every assignment select nothing, so the
@@ -373,7 +374,8 @@ class TestQuotientReduce:
         selective = 0
         while selective < 3:
             mi, coord = self.find_splittable(rng)
-            plan, q_inst = quotient_reduce(mi, coord)
+            plan, q_mi = quotient_reduce(mi, coord)
+            q_inst = effective_instance(q_mi)
             doms = mi.base.sig.domains
             phi = [
                 plan.maps.get(i, tuple(range(doms[i].size)))
@@ -390,6 +392,23 @@ class TestQuotientReduce:
                     checked += 1
             assert checked > 0
             selective += checked < total
+
+    def test_quotient_system_is_its_own_fixpoint(self):
+        # the image of a k-minimal subdirect system under per-variable
+        # homomorphisms is k-minimal and subdirect, so nothing is left to
+        # propagate or trim; arity-4 draws carry constraints wider than k=3
+        rng = random.Random(97)
+        wide = 0
+        for max_arity in (3,) * 10 + (4,) * 5:
+            mi, coord = self.find_splittable(rng, max_arity)
+            wide += bool(mi.base.constraints)
+            _, q_mi = quotient_reduce(mi, coord)
+            again = k_minimalize(effective_instance(q_mi), q_mi.system.k)
+            assert not again.empty_flag
+            assert again.system.entries == q_mi.system.entries
+            assert again.base.constraints == q_mi.base.constraints
+            assert make_subdirect(q_mi)[0] is q_mi
+        assert wide
 
     def test_refuses_simple_domain(self, dd2):
         inst = mk_instance(dd2, [((0, 1), SWAP), ((1, 2), SWAP), ((2, 3), SWAP)])
@@ -413,8 +432,8 @@ class TestPullback:
         helper = TestQuotientReduce()
         while done < 6:
             mi, coord = helper.find_splittable(rng)
-            plan, q_inst = quotient_reduce(mi, coord)
-            q_out = brute_force_solve(q_inst)
+            plan, q_mi = quotient_reduce(mi, coord)
+            q_out = brute_force_solve(effective_instance(q_mi))
             if q_out.solution is None:
                 continue
             before = mi.base.sig.domains[coord].size
@@ -440,8 +459,8 @@ class TestPullback:
         helper = TestQuotientReduce()
         while done < 10:
             mi, coord = helper.find_splittable(rng)
-            plan, q_inst = quotient_reduce(mi, coord)
-            q_sol = brute_force_solve(q_inst).solution
+            plan, q_mi = quotient_reduce(mi, coord)
+            q_sol = brute_force_solve(effective_instance(q_mi)).solution
             if q_sol is None:
                 continue
             doms = mi.base.sig.domains
@@ -623,6 +642,24 @@ class TestPinnedOutcomes:
             inst = planted_instance(random.Random(500 + i), alg, 6, (3, 3, 3), 3)
             out = solve(inst)
             assert (out.solution, out.certificate, out.fallback) == (solution, None, False), i
+
+    def test_one_validation_and_one_solve_per_instance(self, monkeypatch):
+        # quotient splits reduce the image system in place, without a
+        # nested solve that would validate it again
+        calls = collections.Counter()
+        for name in ("solve", "validate_invariance", "quotient_reduce"):
+            original = getattr(solver_mod, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(solver_mod, name, spy)
+        base = switch_algebra(2)
+        inst = planted_instance(random.Random(505), product_algebra(base, base), 6, (3, 3, 3), 3)
+        assert solver_mod.solve(inst).solution == PINNED_SQUARE[5]
+        assert calls["quotient_reduce"] >= 2
+        assert calls["solve"] == calls["validate_invariance"] == 1
 
     def test_wide_constraints(self):
         for i, solution in enumerate(PINNED_WIDE):
