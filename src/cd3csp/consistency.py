@@ -273,6 +273,20 @@ def _relabel(mi: MinimalizedInstance, domains, index) -> MinimalizedInstance:
     return MinimalizedInstance(base, system, False, None)
 
 
+def _from_level(mi: MinimalizedInstance, level_entries: dict, wide) -> MinimalizedInstance:
+    """mi's system with these level entries and wide constraints, each
+    lower entry projected from an entry one variable larger; k-minimal if
+    the level entries agree and each wide one projects back onto them."""
+    n, entries = mi.system.nvars, dict(level_entries)
+    for r in range(mi.system.level - 1, 0, -1):
+        for I in itertools.combinations(range(n), r):
+            J = tuple(sorted(I + (next(v for v in range(n) if v not in I),)))
+            entries[I] = project(entries[J], _positions(J, I))
+    entries = dict(sorted(entries.items(), key=lambda e: (len(e[0]), e[0])))
+    base = Instance(mi.base.sig, tuple(wide), mi.base.k)
+    return MinimalizedInstance(base, KSystem(mi.system.k, n, entries), False, None)
+
+
 def effective_instance(mi: MinimalizedInstance) -> Instance:
     """The whole instance: every entry plus the constraints wider than the
     level.

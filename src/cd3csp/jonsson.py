@@ -226,27 +226,22 @@ def build_lambda_J(
             raise ValueError(f"entry system is missing the set {I}")
 
     level_sets = system.level_sets()
-    lamj: dict = {}
+    # lamj on a set through the coordinate, projected onto the other
+    # variables: one set per (level-1)-subset not holding the coordinate
+    lamj, allowed = {}, {}
     for I in level_sets:
         if coord in I:
             c = I.index(coord)
             entry = system.entry(I)
-            lamj[I] = Relation(
-                entry.sizes, tuple(t for t in entry.tuples if t[c] in ideal)
-            )
-    for I in level_sets:
-        if coord in I:
-            continue
+            kept = tuple(t for t in entry.tuples if t[c] in ideal)
+            lamj[I] = Relation(entry.sizes, kept)
+            allowed[I[:c] + I[c + 1 :]] = {t[:c] + t[c + 1 :] for t in kept}
+    for I in (s for s in level_sets if coord not in s):
         entry = system.entry(I)
-        conditions = []
-        for i in I:
-            rest = tuple(v for v in I if v != i)
-            through = tuple(sorted((coord,) + rest))
-            allowed = {
-                tuple(t[p] for p in _positions(through, rest))
-                for t in lamj[through].tuples
-            }
-            conditions.append((_positions(I, rest), allowed))
+        conditions = [
+            (pos, allowed[tuple(I[p] for p in pos)])
+            for pos in itertools.combinations(range(len(I)), len(I) - 1)
+        ]
         kept = tuple(
             t
             for t in entry.tuples
@@ -291,6 +286,17 @@ def _check_agreement(lamj: dict) -> None:
                 )
 
 
+def _check_projects_back(rel: Relation, scope, lamj: dict) -> None:
+    """Raise LemmaViolation unless rel, a relation on scope, projects
+    exactly onto lamj's relation on every set of lamj's size in scope."""
+    for I in itertools.combinations(scope, len(next(iter(lamj)))):
+        pos = _positions(scope, I)
+        if {tuple(t[p] for p in pos) for t in rel.tuples} != set(lamj[I].tuples):
+            raise LemmaViolation(
+                f"filtered constraint on {scope} does not project back onto a restricted entry"
+            )
+
+
 def reduce_constraint_RJ(
     rel: Relation, scope, reduction: IdealReduction, algs=None
 ) -> Relation:
@@ -310,10 +316,9 @@ def reduce_constraint_RJ(
     scope = tuple(scope)
     if len(scope) != rel.arity:
         raise ValueError("scope length must match relation arity")
-    level = reduction.level
     checks = [
         (_positions(scope, I), reduction.lamj[I])
-        for I in itertools.combinations(scope, level)
+        for I in itertools.combinations(scope, reduction.level)
     ]
     kept = tuple(
         t
@@ -323,12 +328,7 @@ def reduce_constraint_RJ(
     out = Relation(rel.sizes, kept)
     if out.is_empty:
         raise LemmaViolation(f"constraint on {scope} emptied under the ideal filter")
-    for pos, lam in checks:
-        got = {tuple(t[p] for p in pos) for t in kept}
-        if got != set(lam.tuples):
-            raise LemmaViolation(
-                f"filtered constraint on {scope} does not project back onto a restricted entry"
-            )
+    _check_projects_back(out, scope, reduction.lamj)
     if algs is not None and not is_invariant(out, algs):
         raise LemmaViolation(
             f"filtered constraint on {scope} is not preserved by the domain operations"

@@ -46,6 +46,7 @@ from .solver import (
     brute_force_solve,
     pullback,
     quotient_reduce,
+    reduce_to_ideal,
 )
 
 
@@ -420,6 +421,12 @@ def suite_rj(trials=50, seed=0) -> SuiteReport:
                 if t not in con.rel:
                     _fail("rj", "reduction invented a tuple")
             checks += 2
+        # the restricted system is built without propagating; check it
+        # independently of the pipeline
+        restricted, _ = reduce_to_ideal(mi, coord, ideal)
+        if not is_k_minimal(effective_instance(restricted), 4):
+            _fail("rj", "ideal-restricted system is not k-minimal")
+        checks += 1
         done += 1
     return SuiteReport("rj", done, checks, f"{attempts} candidates drawn")
 

@@ -4,9 +4,10 @@ The solver validates and propagates the input to a k-minimal fixpoint
 once, then shrinks domains until the system is directly readable: restrict
 a domain toward a proper ideal whenever one exists, otherwise split a
 non-simple domain through a maximal congruence, reduce and assemble the
-image k-system with the same loop and pull one solution class back.  Once
-every domain is simple (or one-element) with no proper ideal, the pairwise
-entries decompose into bijection graphs and full products, and a
+image k-system with the same loop and pull one solution class back.  Each
+step builds its smaller k-system directly, checked, with no propagation.
+Once every domain is simple (or one-element) with no proper ideal, the
+pairwise entries decompose into bijection graphs and full products, and a
 lexicographically least assignment is assembled classwise.  Every shape
 the theory guarantees is asserted, and a failed assertion raises
 LemmaViolation.  Only the top-level assembly falls back to exhaustive
@@ -28,12 +29,15 @@ from .algebra import (
 )
 from .consistency import (
     MinimalizedInstance,
+    _from_level,
     _relabel,
     k_minimalize,
     make_subdirect,
 )
 from .errors import LemmaViolation, NotCd3
 from .jonsson import (
+    _check_agreement,
+    _check_projects_back,
     _graph_map,
     build_lambda_J,
     classify_binary,
@@ -239,40 +243,22 @@ def _compose_maps(outer, inner):
     return [tuple(o[x] for x in i) for o, i in zip(outer, inner)]
 
 
-def _reminimalize(mi: MinimalizedInstance, constraints, failure: str):
-    """k-minimalize level entries plus wide constraints on mi's domains and
-    make the result subdirect; emptying raises LemmaViolation(failure)."""
-    inst = Instance(mi.base.sig, tuple(constraints), mi.base.k)
-    refined = k_minimalize(inst, mi.system.k)
-    if refined.empty_flag:
-        raise LemmaViolation(failure)
-    return make_subdirect(refined)
-
-
 def reduce_to_ideal(mi: MinimalizedInstance, coord: int, ideal):
-    """Shrink one domain onto a proper ideal and re-minimalize.
+    """Shrink one domain onto a proper ideal.
 
-    Returns (instance, maps).  The restricted system is guaranteed to stay
-    nonempty with the coordinate's domain landing exactly on the ideal.
-    The new instance is the restricted level entries plus the wide
-    constraints filtered tuplewise; lower entries are projections of the
-    level entries and need not ride along.  Tuplewise filtering needs k at
-    least the squared largest domain size of the instance; below that
-    reduce_constraint_RJ refuses with ValueError.
+    Returns (instance, maps), the coordinate's domain landing on the
+    ideal.  build_lambda_J's level entries, checked to agree, and the wide
+    constraints filtered by reduce_constraint_RJ, checked to project back
+    onto them, make a k-minimal system with no propagation.  The filter
+    needs k at least the squared largest domain size, else ValueError.
     """
     doms = mi.base.sig.domains
     red = build_lambda_J(mi.system, coord, ideal, doms[coord])
-    constraints = [Constraint(I, rel) for I, rel in red.lamj.items()]
+    wide = []
     for c in mi.base.constraints:
-        filtered = reduce_constraint_RJ(
-            c.rel, c.scope, red, scope_algebras(mi.base, c.scope)
-        )
-        constraints.append(Constraint(c.scope, filtered))
-    shrunk, maps = _reminimalize(
-        mi,
-        constraints,
-        f"system emptied while restricting variable {coord} to {set(ideal)}",
-    )
+        algs = scope_algebras(mi.base, c.scope)
+        wide.append(Constraint(c.scope, reduce_constraint_RJ(c.rel, c.scope, red, algs)))
+    shrunk, maps = make_subdirect(_from_level(mi, red.lamj, wide))
     if set(maps[coord]) != set(ideal):
         raise LemmaViolation(
             f"variable {coord} landed on {set(maps[coord])}, expected {set(ideal)}"
@@ -327,26 +313,32 @@ def quotient_reduce(mi: MinimalizedInstance, coord: int):
 def pullback(mi: MinimalizedInstance, plan: QuotientPlan, q_solution):
     """Restrict the split coordinates to one quotient solution class.
 
-    Coordinates outside the plan keep their full domains.  The filtered
-    system is guaranteed to stay nonempty and strictly smaller at the
-    split coordinate.
+    Coordinates outside the plan keep their full domains.  The system is
+    built directly from the filtered level entries and wide constraints,
+    checked to agree on shared variables and to project back onto each
+    other, so it is k-minimal.  On a k-minimal subdirect system they do:
+    - each tuple of a relation gives all plan variables one quotient
+      class, since the plan maps are onto homomorphisms and, with k >= 3,
+      the pair entries of two plan variables agree through coord;
+    - for variables S outside the plan, the relation between the class
+      and the values on S is subdirect and invariant with a simple left
+      factor A/theta.  Were it not full, its kernel would be a maximal,
+      so meet-irreducible, congruence of the entry on S; the variety is
+      congruence distributive, so that kernel would lie above one
+      coordinate's projection kernel, and classify_binary would have put
+      that coordinate in the plan.  So the filtered relations agree.
     """
     doms = mi.base.sig.domains
-    n = len(doms)
     q_solution = tuple(q_solution)
-    if len(q_solution) != n:
+    if len(q_solution) != len(doms):
         raise ValueError("quotient solution has the wrong number of variables")
-    allowed = []
-    for i in range(n):
-        if i in plan.maps:
-            block = frozenset(
-                a for a in doms[i].universe if plan.maps[i][a] == q_solution[i]
-            )
-            if not block:
-                raise ValueError(f"quotient value at {i} selects an empty class")
-            allowed.append(block)
-        else:
-            allowed.append(frozenset(doms[i].universe))
+    allowed = [
+        frozenset(a for a in d.universe if i not in plan.maps or plan.maps[i][a] == q)
+        for i, (d, q) in enumerate(zip(doms, q_solution))
+    ]
+    for i, block in enumerate(allowed):
+        if not block:
+            raise ValueError(f"quotient value at {i} selects an empty class")
     if len(allowed[plan.coord]) >= doms[plan.coord].size:
         raise LemmaViolation("pullback did not shrink the split coordinate")
 
@@ -358,18 +350,12 @@ def pullback(mi: MinimalizedInstance, plan: QuotientPlan, q_solution):
             raise LemmaViolation(f"pullback emptied the relation on {scope}")
         return Relation(rel.sizes, kept)
 
-    # a filtered lower entry that empties also empties every filtered level
-    # entry above it, so checking the level entries loses nothing
-    constraints = [
-        Constraint(I, filter_rel(mi.system.entry(I), I))
-        for I in mi.system.level_sets()
-    ]
-    constraints += [
-        Constraint(c.scope, filter_rel(c.rel, c.scope)) for c in mi.base.constraints
-    ]
-    return _reminimalize(
-        mi, constraints, "pullback emptied the system during re-minimalization"
-    )
+    lamj = {I: filter_rel(mi.system.entry(I), I) for I in mi.system.level_sets()}
+    _check_agreement(lamj)
+    wide = [Constraint(c.scope, filter_rel(c.rel, c.scope)) for c in mi.base.constraints]
+    for c in wide:
+        _check_projects_back(c.rel, c.scope, lamj)
+    return make_subdirect(_from_level(mi, lamj, wide))
 
 
 def choose_k(inst: Instance) -> int:

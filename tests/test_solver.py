@@ -2,6 +2,7 @@
 quotient splits, pullback, and the public solve entry point."""
 
 import collections
+import dataclasses
 import itertools
 import random
 
@@ -451,18 +452,24 @@ class TestPullback:
             assert lifted_any
             done += 1
 
-    def test_matches_ride_along_reference(self):
-        # reference: every relation of the system filtered to the chosen
-        # quotient classes and re-minimalized
-        rng = random.Random(89)
-        done = 0
+    def split_with_solution(self, rng, max_arity=3):
         helper = TestQuotientReduce()
-        while done < 10:
-            mi, coord = helper.find_splittable(rng)
+        while True:
+            mi, coord = helper.find_splittable(rng, max_arity)
             plan, q_mi = quotient_reduce(mi, coord)
             q_sol = brute_force_solve(effective_instance(q_mi)).solution
-            if q_sol is None:
-                continue
+            if q_sol is not None:
+                return mi, plan, q_sol
+
+    def test_matches_ride_along_reference(self):
+        # reference: every relation of the system filtered to the chosen
+        # quotient classes and re-minimalized; arity-4 draws carry
+        # constraints wider than k=3
+        rng = random.Random(89)
+        wide = 0
+        for max_arity in (3,) * 10 + (4,) * 5:
+            mi, plan, q_sol = self.split_with_solution(rng, max_arity)
+            wide += bool(mi.base.constraints)
             doms = mi.base.sig.domains
             allowed = [
                 {a for a in range(d.size) if i not in plan.maps or plan.maps[i][a] == q_sol[i]}
@@ -485,7 +492,57 @@ class TestPullback:
             assert_same_result(
                 pullback(mi, plan, q_sol), reminimalized(mi, constraints)
             )
-            done += 1
+        assert wide
+
+    def test_raises_on_a_level_entry_that_does_not_agree(self):
+        # the pulled-back system is checked, not propagated: thin an entry
+        # the split leaves alone and pullback must refuse, not repair it
+        rng = random.Random(101)
+        while True:
+            mi, plan, q_sol = self.split_with_solution(rng)
+            found = [
+                (I, thin)
+                for I in mi.system.level_sets()
+                if not set(I) & set(plan.maps)
+                and (thin := without_sole_witness(mi.system.entry(I), len(I) - 1))
+            ]
+            if found:
+                break
+        I, thin = found[0]
+        system = dataclasses.replace(mi.system, entries={**mi.system.entries, I: thin})
+        with pytest.raises(LemmaViolation, match="disagree"):
+            pullback(dataclasses.replace(mi, system=system), plan, q_sol)
+
+    def test_raises_on_a_wide_constraint_that_does_not_project_back(self):
+        rng = random.Random(103)
+        while True:
+            mi, plan, q_sol = self.split_with_solution(rng, max_arity=4)
+            found = [
+                (n, thin)
+                for n, c in enumerate(mi.base.constraints)
+                if not set(c.scope) & set(plan.maps)
+                and (thin := without_sole_witness(c.rel, mi.system.level))
+            ]
+            if found:
+                break
+        n, thin = found[0]
+        constraints = list(mi.base.constraints)
+        constraints[n] = Constraint(constraints[n].scope, thin)
+        base = dataclasses.replace(mi.base, constraints=tuple(constraints))
+        with pytest.raises(LemmaViolation, match="project back"):
+            pullback(dataclasses.replace(mi, base=base), plan, q_sol)
+
+
+def without_sole_witness(rel, size):
+    """rel less one tuple that alone projects onto some tuple of a
+    size-coordinate projection, or None when no tuple of a relation with
+    two or more tuples does."""
+    for pos in itertools.combinations(range(rel.arity), size):
+        counts = collections.Counter(tuple(t[p] for p in pos) for t in rel.tuples)
+        for t in rel.tuples:
+            if len(rel) > 1 and counts[tuple(t[p] for p in pos)] == 1:
+                return Relation(rel.sizes, tuple(u for u in rel.tuples if u != t))
+    return None
 
 
 class TestChoices:
