@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 from .algebra import restrict
@@ -29,7 +29,11 @@ from .relation import (
 
 @dataclass(frozen=True)
 class KSystem:
-    """Entry relations for all variable sets of size <= min(k, nvars)."""
+    """Entry relations on the sets of at most level = min(k, nvars)
+    variables: every level set is stored, smaller ones only in
+    k_minimalize's result.  entry() derives a smaller one not stored as
+    the projection of a level entry holding it; in a k-minimal system
+    every such projection agrees."""
 
     k: int
     nvars: int
@@ -40,13 +44,16 @@ class KSystem:
         return min(self.k, self.nvars)
 
     def entry(self, subset) -> Relation:
-        return self.entries[tuple(subset)]
-
-    def subsets(self):
-        return sorted(self.entries, key=lambda s: (len(s), s))
+        I = tuple(subset)
+        # an unsorted set fails here, repeated or out-of-range variables at J
+        if I in self.entries or not 0 < len(I) < self.level or list(I) != sorted(I):
+            return self.entries[I]
+        fill = (v for v in range(self.nvars) if v not in I)
+        J = tuple(sorted(I + tuple(itertools.islice(fill, self.level - len(I)))))
+        return project(self.entries[J], _positions(J, I))
 
     def level_sets(self):
-        return tuple(s for s in self.subsets() if len(s) == self.level)
+        return tuple(s for s in self.entries if len(s) == self.level)
 
 
 @dataclass(frozen=True)
@@ -61,8 +68,11 @@ class MinimalizedInstance:
 
     base: Instance
     system: KSystem
-    empty_flag: bool
-    certificate: tuple[int, ...] | None = field(default=None)
+    certificate: tuple[int, ...] | None = None
+
+    @property
+    def empty_flag(self) -> bool:
+        return self.certificate is not None
 
 
 def _positions(scope, subset):
@@ -165,7 +175,7 @@ def k_minimalize(inst: Instance, k: int) -> MinimalizedInstance:
             k,
         )
         system = KSystem(k, n, {I: rels[("e", I)] for I in subsets_by_size})
-        return MinimalizedInstance(base, system, empty_scope is not None, empty_scope)
+        return MinimalizedInstance(base, system, empty_scope)
 
     for s in base_scopes:
         if rels[("b", s)].is_empty:
@@ -248,12 +258,12 @@ def make_subdirect(mi: MinimalizedInstance):
 
 
 def _relabel(mi: MinimalizedInstance, domains, index) -> MinimalizedInstance:
-    """mi's entries and wide constraints with every value relabelled.
+    """mi's level entries and wide constraints with every value relabelled.
 
     index[v] sends variable v's old labels to labels of domains[v]; None
     keeps them.  A relation whose variables all keep their labels is
     reused.  Relabelling per variable commutes with projection, so the
-    image of a k-minimal system is k-minimal.
+    image of a k-minimal system is k-minimal and derives its lower entries.
     """
 
     def remap(rel: Relation, scope) -> Relation:
@@ -268,31 +278,25 @@ def _relabel(mi: MinimalizedInstance, domains, index) -> MinimalizedInstance:
         tuple(Constraint(c.scope, remap(c.rel, c.scope)) for c in mi.base.constraints),
         mi.base.k,
     )
-    entries = {I: remap(rel, I) for I, rel in mi.system.entries.items()}
-    system = KSystem(mi.system.k, mi.system.nvars, entries)
-    return MinimalizedInstance(base, system, False, None)
+    entries = {I: remap(mi.system.entries[I], I) for I in mi.system.level_sets()}
+    return MinimalizedInstance(base, KSystem(mi.system.k, mi.system.nvars, entries))
 
 
 def _from_level(mi: MinimalizedInstance, level_entries: dict, wide) -> MinimalizedInstance:
-    """mi's system with these level entries and wide constraints, each
-    lower entry projected from an entry one variable larger; k-minimal if
-    the level entries agree and each wide one projects back onto them."""
-    n, entries = mi.system.nvars, dict(level_entries)
-    for r in range(mi.system.level - 1, 0, -1):
-        for I in itertools.combinations(range(n), r):
-            J = tuple(sorted(I + (next(v for v in range(n) if v not in I),)))
-            entries[I] = project(entries[J], _positions(J, I))
-    entries = dict(sorted(entries.items(), key=lambda e: (len(e[0]), e[0])))
+    """mi's system with these level entries and wide constraints, stored
+    as given with no smaller entry; k-minimal if the level entries agree
+    and each wide one projects back onto them."""
     base = Instance(mi.base.sig, tuple(wide), mi.base.k)
-    return MinimalizedInstance(base, KSystem(mi.system.k, n, entries), False, None)
+    system = KSystem(mi.system.k, mi.system.nvars, dict(level_entries))
+    return MinimalizedInstance(base, system)
 
 
 def effective_instance(mi: MinimalizedInstance) -> Instance:
-    """The whole instance: every entry plus the constraints wider than the
-    level.
+    """The whole instance: every stored entry plus the constraints wider
+    than the level.
 
-    A narrower constraint of a k-minimalized instance equals its entry, so
-    nothing is lost, and the two sets of scopes are disjoint.
+    A narrower constraint equals its entry and an unstored entry is a
+    projection of a stored one, so nothing is lost; the scopes are disjoint.
     """
     pairs = [*mi.system.entries.items(), *((c.scope, c.rel) for c in mi.base.constraints)]
     pairs.sort(key=lambda p: (len(p[0]), p[0]))

@@ -207,9 +207,9 @@ def base_case_solve(mi: MinimalizedInstance) -> tuple[int, ...]:
 
     Decomposes the pairwise entries, anchors every bijection class at value
     0 and reads the other class members off the bijections, then checks
-    the result against every relation in the system.  Raises LemmaViolation
-    when the entries do not decompose or the assembled assignment misses a
-    relation.
+    the result against every wide constraint and stored entry (the level
+    entries cover the smaller ones).  Raises LemmaViolation when the
+    entries do not decompose or the assembled assignment misses a relation.
     """
     doms = mi.base.sig.domains
     n = len(doms)
@@ -228,14 +228,10 @@ def base_case_solve(mi: MinimalizedInstance) -> tuple[int, ...]:
             assignment[j] = deco.bijections[(cls[0], j)][0]
 
     sol = tuple(assignment)
-    for c in mi.base.constraints:
-        if tuple(sol[v] for v in c.scope) not in c.rel:
-            raise LemmaViolation(
-                f"assembled assignment violates the constraint on {c.scope}"
-            )
-    for I, rel in mi.system.entries.items():
-        if tuple(sol[v] for v in I) not in rel:
-            raise LemmaViolation(f"assembled assignment violates the entry on {I}")
+    wide = ((c.scope, c.rel) for c in mi.base.constraints)
+    for scope, rel in itertools.chain(wide, mi.system.entries.items()):
+        if tuple(sol[v] for v in scope) not in rel:
+            raise LemmaViolation(f"assembled assignment violates the relation on {scope}")
     return sol
 
 

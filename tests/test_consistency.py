@@ -9,6 +9,7 @@ from cd3csp import (
     Constraint,
     GeneratorConfig,
     Instance,
+    KSystem,
     Relation,
     Signature,
     effective_instance,
@@ -210,6 +211,19 @@ class TestPinnedOutcomes:
             assert sum(len(r) for r in mi.system.entries.values()) == tuples, i
 
 
+class TestKSystem:
+    def test_entry_derives_smaller_sets_and_refuses_others(self):
+        eq = Relation((2, 2), EQ2)
+        system = KSystem(2, 3, {(0, 1): eq, (0, 2): eq, (1, 2): eq})
+        assert system.level_sets() == ((0, 1), (0, 2), (1, 2))
+        for v in range(3):
+            assert system.entry((v,)) == Relation((2,), ((0,), (1,)))
+        assert system.entry([0, 2]) is eq
+        for bad in ((), (1, 0), (1, 1), (3,), (-1,), (0, 1, 2)):
+            with pytest.raises(KeyError):
+                system.entry(bad)
+
+
 class TestIsKMinimal:
     def test_uncovered_subset_fails(self, maj2):
         inst = Instance(
@@ -258,8 +272,10 @@ class TestMakeSubdirect:
         mi = k_minimalize(inst, 2)
         shrunk, _ = make_subdirect(mi)
         assert [a.size for a in shrunk.base.sig.domains] == [1, 2, 2, 2]
-        for I, rel in mi.system.entries.items():
-            assert (shrunk.system.entry(I) is rel) == (0 not in I), I
+        # smaller sets are not stored, so reuse shows on the level sets
+        assert set(shrunk.system.entries) == set(mi.system.level_sets())
+        for I in mi.system.level_sets():
+            assert (shrunk.system.entries[I] is mi.system.entries[I]) == (0 not in I), I
         (wide,) = mi.base.constraints
         assert shrunk.base.constraints[0].rel is wide.rel
 

@@ -406,7 +406,11 @@ class TestQuotientReduce:
             _, q_mi = quotient_reduce(mi, coord)
             again = k_minimalize(effective_instance(q_mi), q_mi.system.k)
             assert not again.empty_flag
-            assert again.system.entries == q_mi.system.entries
+            level = q_mi.system.level
+            assert again.system.level == level
+            for r in range(1, level + 1):
+                for I in itertools.combinations(range(q_mi.system.nvars), r):
+                    assert again.system.entry(I) == q_mi.system.entry(I), I
             assert again.base.constraints == q_mi.base.constraints
             assert make_subdirect(q_mi)[0] is q_mi
         assert wide
@@ -543,6 +547,66 @@ def without_sole_witness(rel, size):
             if len(rel) > 1 and counts[tuple(t[p] for p in pos)] == 1:
                 return Relation(rel.sizes, tuple(u for u in rel.tuples if u != t))
     return None
+
+
+def assert_holds_level_sets(mi):
+    """mi stores exactly its level sets, and entry() on every smaller set
+    is the projection of each level entry containing it."""
+    system = mi.system
+    n, level = system.nvars, system.level
+    assert set(system.entries) == set(itertools.combinations(range(n), level))
+    for r in range(1, level):
+        for I in itertools.combinations(range(n), r):
+            got = system.entry(I)
+            for J, rel in system.entries.items():
+                if set(I) <= set(J):
+                    assert got == project(rel, [J.index(v) for v in I]), (I, J)
+
+
+class TestLevelEntriesOnly:
+    """Past the first propagation, a reduction step's system stores its
+    level entries only."""
+
+    def test_reduce_to_ideal(self):
+        rng = random.Random(107)
+        done = 0
+        while done < 8:
+            inst = rand_instance(rng, vars_range=(4, 6))
+            mi = k_minimalize(inst, 3)
+            if mi.empty_flag:
+                continue
+            mi, _ = make_subdirect(mi)
+            doms = mi.base.sig.domains
+            coord = next(
+                (i for i, a in enumerate(doms) if some_proper_ideal(a) is not None),
+                None,
+            )
+            if coord is None:
+                continue
+            out, _ = reduce_to_ideal(mi, coord, some_proper_ideal(doms[coord]))
+            assert_holds_level_sets(out)
+            done += 1
+
+    def test_quotient_reduce_and_pullback(self):
+        rng = random.Random(109)
+        for max_arity in (3,) * 5 + (4,) * 3:
+            mi, plan, q_sol = TestPullback().split_with_solution(rng, max_arity)
+            _, q_mi = quotient_reduce(mi, plan.coord)
+            assert_holds_level_sets(q_mi)
+            assert_holds_level_sets(pullback(mi, plan, q_sol)[0])
+
+    def test_shrinking_make_subdirect(self):
+        rng = random.Random(113)
+        done = 0
+        while done < 8:
+            mi = k_minimalize(rand_instance(rng), 3)
+            if mi.empty_flag:
+                continue
+            shrunk, maps = make_subdirect(mi)
+            if all(len(m) == a.size for m, a in zip(maps, mi.base.sig.domains)):
+                continue
+            assert_holds_level_sets(shrunk)
+            done += 1
 
 
 class TestChoices:
