@@ -276,11 +276,6 @@ class Congruence:
         pairs = itertools.combinations(range(self.size), 2)
         return all(other.related(a, b) for a, b in pairs if self.related(a, b))
 
-    def pairs(self):
-        for a, b in itertools.combinations(range(self.size), 2):
-            if self.related(a, b):
-                yield (a, b)
-
 
 def _unary_translations(alg: Algebra) -> list[tuple[int, ...]]:
     """All maps x -> f(c1,..,x,..,cm) from basic ops with constants."""
@@ -298,13 +293,13 @@ def _unary_translations(alg: Algebra) -> list[tuple[int, ...]]:
     return maps
 
 
-def _congruence_closure(alg: Algebra, seed_pairs) -> Congruence:
-    """Least congruence containing the seed pairs.
+def _congruence_closure(alg: Algebra, translations, seed_pairs) -> Congruence:
+    """Least congruence containing the seed pairs, given the algebra's
+    unary translations.
 
     An equivalence closed under all one-variable translations of basic ops
     is invariant under the ops themselves (change one argument at a time).
     """
-    translations = _unary_translations(alg)
     uf = _UnionFind(alg.size)
     work = []
     for a, b in seed_pairs:
@@ -323,7 +318,7 @@ def principal_congruence(alg: Algebra, a: int, b: int) -> Congruence:
     """Least congruence collapsing a with b."""
     if not (0 <= a < alg.size and 0 <= b < alg.size):
         raise ValueError("elements out of range")
-    return _congruence_closure(alg, [(a, b)])
+    return _congruence_closure(alg, _unary_translations(alg), [(a, b)])
 
 
 def is_congruence(alg: Algebra, theta: Congruence) -> bool:
@@ -347,37 +342,29 @@ def is_congruence(alg: Algebra, theta: Congruence) -> bool:
 def maximal_proper_congruence(alg: Algebra) -> Congruence | None:
     """A maximal congruence strictly below the full relation, or None.
 
-    Greedy join of principal congruences scanned in lexicographic pair
-    order; returns None exactly when no proper nontrivial congruence exists
-    (simple algebras and one-element algebras).
+    Starting from the zero congruence, scans the pairs in lexicographic
+    order and keeps each pair not yet related whose congruence together
+    with the kept ones is proper; the result is the congruence the kept
+    pairs generate.  Returns None exactly when no pair was kept: no
+    congruence lies strictly between zero and the full relation (simple
+    algebras and one-element algebras).
     """
-    if alg.size == 1:
-        return None
-    principals = []
+    translations = _unary_translations(alg)
+    theta, kept = Congruence.zero(alg.size), []
     for a, b in itertools.combinations(alg.universe, 2):
-        th = principal_congruence(alg, a, b)
-        if not th.is_one:
-            principals.append(th)
-    if not principals:
-        return None
-    theta = Congruence.zero(alg.size)
-    for p in principals:
-        if p.refines(theta):
+        if theta.related(a, b):
             continue
-        cand = _congruence_closure(alg, list(theta.pairs()) + list(p.pairs()))
+        cand = _congruence_closure(alg, translations, [*kept, (a, b)])
         if not cand.is_one:
             theta = cand
-    return theta
+            kept.append((a, b))
+    return theta if kept else None
 
 
 def is_simple(alg: Algebra) -> bool:
-    """Size >= 2 with no congruence besides the two trivial ones."""
-    if alg.size < 2:
-        return False
-    for a, b in itertools.combinations(alg.universe, 2):
-        if not principal_congruence(alg, a, b).is_one:
-            return False
-    return True
+    """Size >= 2 with no congruence besides the two trivial ones, read off
+    maximal_proper_congruence."""
+    return alg.size >= 2 and maximal_proper_congruence(alg) is None
 
 
 def quotient(alg: Algebra, theta: Congruence) -> tuple[Algebra, tuple[int, ...]]:

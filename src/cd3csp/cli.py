@@ -75,7 +75,7 @@ def cmd_gen_instance(args) -> int:
 
 def cmd_minimalize(args) -> int:
     inst = fileio.read_instance(args.file)
-    k = args.k if args.k is not None else (inst.k if inst.k is not None else choose_k(inst))
+    k = args.k if args.k is not None else choose_k(inst)
     mi = k_minimalize(inst, k)
     if mi.empty_flag:
         print(f"EMPTY at k={k}, certificate scope {list(mi.certificate)}")
@@ -117,15 +117,7 @@ def cmd_compare(args) -> int:
         aseed = rng.randrange(2**32)
         iseed = rng.randrange(2**32)
         alg = gen_cd3_algebra(GeneratorConfig(seed=aseed, domain_size=args.size))
-        cfg = GeneratorConfig(
-            seed=iseed,
-            domain_size=args.size,
-            num_vars=args.vars,
-            num_constraints=args.constraints,
-            max_arity=args.max_arity,
-            subpower_seeds=args.subpower_seeds,
-        )
-        inst = gen_instance(alg, cfg)
+        inst = gen_instance(alg, dataclasses.replace(_instance_config(args), seed=iseed))
         got = solve(inst)
         want = brute_force_solve(inst)
         tag = f"trial {trial} (algebra seed {aseed}, instance seed {iseed})"

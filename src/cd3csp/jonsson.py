@@ -4,7 +4,8 @@ The derived multiplication x*y = j1(x,y,y) (= j2(x,y,y)) turns each
 algebra into a groupoid; an ideal is a subuniverse closed under u*x for
 every universe element u.  Ideals drive the first reduction of the solver:
 entry systems restricted toward an ideal stay nonempty and compatible, and
-in the global regime whole constraint relations can be filtered tuplewise.
+when k is at least the squared largest domain size, whole constraint
+relations can be filtered tuplewise.
 """
 
 from __future__ import annotations
@@ -55,9 +56,9 @@ def jonsson_ideal(alg: Algebra, gens) -> frozenset[int]:
 
 
 def is_jonsson_trivial(alg: Algebra) -> bool:
-    """Every single element generates the whole algebra as an ideal."""
-    full = frozenset(alg.universe)
-    return all(jonsson_ideal(alg, {b}) == full for b in alg.universe)
+    """Every single element generates the whole algebra as an ideal, read
+    off some_proper_ideal."""
+    return some_proper_ideal(alg) is None
 
 
 def some_proper_ideal(alg: Algebra) -> frozenset[int] | None:
@@ -131,10 +132,13 @@ def distance_profile(rel: Relation) -> DistanceProfile:
     return DistanceProfile(n, tuple(layers), dist)
 
 
-def _graph_map(rel: Relation) -> tuple[int, ...] | None:
-    """The map sending each right element of a binary relation to its one
-    left partner, or None when some right element has none or several."""
-    nb = rel.sizes[1]
+def _binary_shape(rel: Relation) -> str | tuple[int, ...] | None:
+    """Read the shape of a binary relation: "full" for the whole product,
+    the map sending each right element to its one left partner when that
+    map is total and onto the left domain, or None for anything else."""
+    na, nb = rel.sizes
+    if len(rel) == na * nb:
+        return "full"
     if len(rel) != nb:
         return None
     back = [None] * nb
@@ -142,7 +146,7 @@ def _graph_map(rel: Relation) -> tuple[int, ...] | None:
         if back[b] is not None:
             return None
         back[b] = a
-    return tuple(back)
+    return tuple(back) if len(set(back)) == na else None
 
 
 @dataclass(frozen=True)
@@ -155,7 +159,9 @@ def classify_binary(rel: Relation, alg_a: Algebra, alg_b: Algebra) -> BinaryClas
     """Shape of a subdirect invariant relation under a simple ideal-free left factor.
 
     Either the full product, or the graph of an onto homomorphism from the
-    right factor to the left one.  Anything else raises LemmaViolation.
+    right factor to the left one, as read by _binary_shape (a subdirect
+    graph is onto) and then checked to commute with every operation.
+    Anything else raises LemmaViolation.
     """
     if rel.arity != 2 or rel.sizes != (alg_a.size, alg_b.size):
         raise ValueError("relation shape does not match the two algebras")
@@ -168,16 +174,13 @@ def classify_binary(rel: Relation, alg_a: Algebra, alg_b: Algebra) -> BinaryClas
     if not is_invariant(rel, (alg_a, alg_b)):
         raise InvarianceViolation("classification needs an invariant relation")
 
-    if len(rel) == alg_a.size * alg_b.size:
+    hom = _binary_shape(rel)
+    if hom == "full":
         return BinaryClassification("full")
-
-    hom = _graph_map(rel)
     if hom is None:
         raise LemmaViolation(
             "relation is neither full nor functional: a right element has two left matches"
         )
-    if set(hom) != set(alg_a.universe):
-        raise LemmaViolation("functional relation is not onto the left factor")
     for name in alg_a.op_names():
         fa, fb = alg_a.op(name), alg_b.op(name)
         for args in itertools.product(alg_b.universe, repeat=fb.arity):
@@ -298,14 +301,16 @@ def _check_projects_back(rel: Relation, scope, lamj: dict) -> None:
 
 
 def reduce_constraint_RJ(
-    rel: Relation, scope, reduction: IdealReduction, algs=None
+    rel: Relation, scope, reduction: IdealReduction, algs
 ) -> Relation:
     """Keep the tuples whose level-size projections all lie in the
-    restricted entries.  Valid in the global regime, where the level is at
-    least the squared largest domain size of the whole system, as `solve`
-    requires of an instance with constraints wider than k; below it the
-    filter is refused with ValueError.  The restricted entries cover every
-    variable, so their sizes give the system's domains."""
+    restricted entries.  Valid when the level is at least the squared
+    largest domain size of the whole system, as `solve` requires of an
+    instance with constraints wider than k; below it the filter is refused
+    with ValueError.  The restricted entries cover every variable, so their
+    sizes give the system's domains.  The result must project back onto
+    the restricted entries and be preserved by algs, the algebras of the
+    scope, else LemmaViolation."""
     biggest = max(
         itertools.chain(rel.sizes, *(lam.sizes for lam in reduction.lamj.values()))
     )
@@ -329,7 +334,7 @@ def reduce_constraint_RJ(
     if out.is_empty:
         raise LemmaViolation(f"constraint on {scope} emptied under the ideal filter")
     _check_projects_back(out, scope, reduction.lamj)
-    if algs is not None and not is_invariant(out, algs):
+    if not is_invariant(out, algs):
         raise LemmaViolation(
             f"filtered constraint on {scope} is not preserved by the domain operations"
         )

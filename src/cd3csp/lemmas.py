@@ -20,7 +20,13 @@ from .algebra import (
     quotient,
     switch_algebra,
 )
-from .consistency import effective_instance, is_k_minimal, k_minimalize, make_subdirect
+from .consistency import (
+    _positions,
+    effective_instance,
+    is_k_minimal,
+    k_minimalize,
+    make_subdirect,
+)
 from .errors import LemmaViolation
 from .generators import GeneratorConfig, gen_cd3_algebra, gen_instance
 from .jonsson import (
@@ -359,8 +365,8 @@ def suite_gamma_j(trials=100, seed=0) -> SuiteReport:
             shared = sorted(set(s1) & set(s2))
             if not shared:
                 continue
-            p1 = project(red.lamj[s1], tuple(s1.index(v) for v in shared))
-            p2 = project(red.lamj[s2], tuple(s2.index(v) for v in shared))
+            p1 = project(red.lamj[s1], _positions(s1, shared))
+            p2 = project(red.lamj[s2], _positions(s2, shared))
             if p1.tuples != p2.tuples:
                 _fail("gamma-j", f"restricted entries at {s1} and {s2} disagree on {shared}")
             checks += 1

@@ -36,9 +36,9 @@ from .consistency import (
 )
 from .errors import LemmaViolation, NotCd3
 from .jonsson import (
+    _binary_shape,
     _check_agreement,
     _check_projects_back,
-    _graph_map,
     build_lambda_J,
     classify_binary,
     is_jonsson_trivial,
@@ -116,40 +116,31 @@ def brute_force_solve(inst: Instance) -> SolveOutcome:
     return SolveOutcome(None)
 
 
-def _pair_shape(rel: Relation) -> tuple[str, tuple[int, ...] | None]:
-    """Classify a binary relation as a bijection graph or a full product."""
-    na, nb = rel.sizes
-    if len(rel) == na * nb:
-        return "full", None
-    back = _graph_map(rel)
-    if back is not None and na == nb and len(set(back)) == na:
-        fwd = [None] * na
-        for b, a in enumerate(back):
-            fwd[a] = b
-        return "bijection", tuple(fwd)
-    return "other", None
-
-
 def _decompose(sizes, pair) -> AlmostTrivialDecomposition:
     """Split coordinates into classes glued by bijections, others free.
 
-    pair(i, j) is the binary relation on coordinates i < j.  Raises
-    LemmaViolation when a pair is neither a bijection graph nor full, when
-    two coordinates of one class are not glued by a bijection, or when two
-    coordinates of different classes are not free.
+    pair(i, j) is the binary relation on coordinates i < j.  A pair is a
+    bijection graph when _binary_shape reads a total onto map between
+    domains of equal size; the map is inverted to run from i to j.
+    Raises LemmaViolation when a pair is neither a bijection graph nor
+    full, when two coordinates of one class are not glued by a bijection,
+    or when two coordinates of different classes are not free.
     """
     m = len(sizes)
     shapes = {}
     uf = _UnionFind(m)
     for i, j in itertools.combinations(range(m), 2):
-        shapes[(i, j)] = _pair_shape(pair(i, j))
-        kind = shapes[(i, j)][0]
-        if kind == "other":
+        rel = pair(i, j)
+        back = _binary_shape(rel)
+        if back == "full":
+            shapes[(i, j)] = "full"
+        elif back is not None and rel.sizes[0] == rel.sizes[1]:
+            shapes[(i, j)] = tuple(back.index(a) for a in range(len(back)))
+            uf.union(i, j)
+        else:
             raise LemmaViolation(
                 f"pair ({i},{j}) is neither a bijection graph nor full"
             )
-        if kind == "bijection":
-            uf.union(i, j)
     groups: dict[int, list] = {}
     for i in range(m):
         groups.setdefault(uf.find(i), []).append(i)
@@ -157,7 +148,7 @@ def _decompose(sizes, pair) -> AlmostTrivialDecomposition:
 
     for cls in classes:
         for i, j in itertools.combinations(cls, 2):
-            if shapes[(i, j)][0] != "bijection":
+            if shapes[(i, j)] == "full":
                 raise LemmaViolation(
                     f"coordinates ({i},{j}) fall in one class but are not glued by a bijection"
                 )
@@ -165,7 +156,7 @@ def _decompose(sizes, pair) -> AlmostTrivialDecomposition:
         for i in ca:
             for j in cb:
                 key = (i, j) if i < j else (j, i)
-                if shapes[key][0] != "full":
+                if shapes[key] != "full":
                     raise LemmaViolation(
                         f"coordinates {key} fall in different classes but are not free"
                     )
@@ -175,7 +166,7 @@ def _decompose(sizes, pair) -> AlmostTrivialDecomposition:
         anchor = cls[0]
         bijections[(anchor, anchor)] = tuple(range(sizes[anchor]))
         for j in cls[1:]:
-            bijections[(anchor, j)] = shapes[(anchor, j)][1]
+            bijections[(anchor, j)] = shapes[(anchor, j)]
     return AlmostTrivialDecomposition(classes, bijections)
 
 
@@ -355,6 +346,10 @@ def pullback(mi: MinimalizedInstance, plan: QuotientPlan, q_solution):
 
 
 def choose_k(inst: Instance) -> int:
+    """The instance's own k when it sets one, else 3 for arity at most 3
+    and the squared largest domain size (at least 3) above that."""
+    if inst.k is not None:
+        return inst.k
     arity = max((len(c.scope) for c in inst.constraints), default=1)
     if arity <= 3:
         return 3
@@ -407,8 +402,8 @@ def _reduce(mi: MinimalizedInstance):
 def solve(inst: Instance, k: int | None = None) -> SolveOutcome:
     """Decide an instance and produce a witness or an emptiness certificate.
 
-    k defaults to 3 for arity-3 instances and to the squared maximum
-    domain size otherwise.  The reduction regime is derived, not chosen:
+    k defaults to choose_k: the instance's own k, else 3 for arity at most
+    3 and the squared maximum domain size otherwise.  The reduction regime is derived, not chosen:
     constraints wider than k are filtered tuplewise, which is sound only
     when k is at least the squared maximum domain size, so an instance
     whose arity exceeds a smaller k is refused with ValueError.
@@ -427,7 +422,7 @@ def solve(inst: Instance, k: int | None = None) -> SolveOutcome:
     validate_invariance(inst)
 
     if k is None:
-        k = inst.k if inst.k is not None else choose_k(inst)
+        k = choose_k(inst)
     if k < 3:
         raise ValueError("the pipeline needs k at least 3")
     arity = max((len(c.scope) for c in inst.constraints), default=1)

@@ -259,6 +259,29 @@ class TestCongruences:
     def test_maximal_of_square_is_projection_kernel(self, dd2sq):
         assert maximal_proper_congruence(dd2sq).blocks == (0, 0, 1, 1)
 
+    def test_maximal_choice_is_pinned(self, dd2sq):
+        # which maximal congruence the lexicographic scan keeps, recorded
+        # with the implementation that joined principal congruences
+        maj2sq = product_algebra(majority_algebra(2), majority_algebra(2))
+
+        def gen(size, seed):
+            return gen_cd3_algebra(GeneratorConfig(seed=seed, domain_size=size))
+
+        halves = (0,) * 8 + (1,) * 8
+        pinned = (
+            (product_algebra(dd2sq, switch_algebra(2)), (0, 0, 0, 0, 1, 1, 1, 1)),
+            (product_algebra(maj2sq, dd2sq), halves),
+            (product_algebra(dd2sq, maj2sq), halves),
+            (product_algebra(gen(2, 0), gen(3, 0)), (0, 0, 0, 1, 1, 1)),
+            (product_algebra(gen(3, 1), gen(2, 1)), (0, 0, 1, 1, 2, 2)),
+        )
+        for alg, blocks in pinned:
+            assert maximal_proper_congruence(alg).blocks == blocks
+        # every generated algebra of these seeds and sizes is simple
+        for size in (3, 4):
+            for seed in range(150):
+                assert maximal_proper_congruence(gen(size, seed)) is None, (size, seed)
+
 
 class TestSimplicityQuotientRestrict:
     def test_simplicity(self, maj2, dd2, dd2sq):

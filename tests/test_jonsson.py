@@ -367,7 +367,7 @@ class TestReduceConstraintRJ:
         )
         red = build_lambda_J(entry_system(inst, 2), 0, frozenset({0}), maj2)
         with pytest.raises(ValueError):
-            reduce_constraint_RJ(Relation.full((2, 2, 2)), (0, 1, 2), red)
+            reduce_constraint_RJ(Relation.full((2, 2, 2)), (0, 1, 2), red, (maj2,) * 3)
 
     def test_level_below_squared_size_refuses(self, maj2):
         # level 3 < 2*2: a size-2 reduction cannot filter an arity-4 constraint
@@ -376,7 +376,7 @@ class TestReduceConstraintRJ:
         red = build_lambda_J(entry_system(inst, 3), 0, frozenset({0}), maj2)
         assert red.level == 3
         with pytest.raises(ValueError):
-            reduce_constraint_RJ(Relation((2,) * 4, full4), (0, 1, 2, 3), red)
+            reduce_constraint_RJ(Relation((2,) * 4, full4), (0, 1, 2, 3), red, (maj2,) * 4)
 
     def test_level_below_squared_size_of_any_domain_refuses(self, maj2, dd2sq):
         # The regime belongs to the whole system, as in solve: level 4 covers
@@ -389,7 +389,7 @@ class TestReduceConstraintRJ:
             inst = Instance(sig, (Constraint((0, 1, 2, 3, 4), full5),))
             return build_lambda_J(entry_system(inst, 4), 0, frozenset({0}), maj2)
 
-        out = reduce_constraint_RJ(full5, (0, 1, 2, 3, 4), reduction(maj2))
+        out = reduce_constraint_RJ(full5, (0, 1, 2, 3, 4), reduction(maj2), (maj2,) * 5)
         assert out.tuples == tuple(t for t in full5.tuples if t[0] == 0)
         with pytest.raises(ValueError):
-            reduce_constraint_RJ(full5, (0, 1, 2, 3, 4), reduction(dd2sq))
+            reduce_constraint_RJ(full5, (0, 1, 2, 3, 4), reduction(dd2sq), (maj2,) * 5)

@@ -124,6 +124,12 @@ class TestAlmostTrivialDecomposition:
         with pytest.raises(LemmaViolation):
             almost_trivial_decomposition(Relation.empty((2, 2)))
 
+    def test_graph_between_unequal_sizes_rejected(self):
+        # the graph of an onto map from four elements to two is no bijection
+        rel = Relation((2, 4), tuple((b // 2, b) for b in range(4)))
+        with pytest.raises(LemmaViolation):
+            almost_trivial_decomposition(rel)
+
 
 class TestBaseCase:
     def test_swap_chain_assembles_least_anchor(self, dd2):
@@ -617,6 +623,7 @@ class TestChoices:
             maj2, [((0, 1, 2, 3), tuple(itertools.product(range(2), repeat=4)))]
         )
         assert choose_k(wide) == 4
+        assert choose_k(dataclasses.replace(wide, k=5)) == 5
 
     def test_wide_scope_with_big_domain(self):
         alg = gen_cd3_algebra(GeneratorConfig(seed=2, domain_size=3))
@@ -698,6 +705,36 @@ class TestSolve:
             assert got.sat == want.sat
             if got.sat:
                 assert satisfies(inst, got.solution)
+
+    def test_agrees_on_cube_domains(self, monkeypatch):
+        # a split of a size-8 domain pulls back to a class of four
+        # elements, which is not simple and splits again
+        splits = collections.Counter()
+        original = solver_mod.quotient_reduce
+
+        def spy(*args):
+            splits[args[0].base.sig.domains[args[1]].size] += 1
+            return original(*args)
+
+        monkeypatch.setattr(solver_mod, "quotient_reduce", spy)
+        rng = random.Random(101)
+        base = switch_algebra(2)
+        alg = product_algebra(product_algebra(base, base), base)
+        for _ in range(6):
+            cfg = GeneratorConfig(
+                seed=rng.randrange(2**32),
+                domain_size=8,
+                num_vars=rng.randint(4, 5),
+                num_constraints=rng.randint(3, 5),
+                max_arity=3,
+                subpower_seeds=rng.randint(2, 4),
+            )
+            inst = gen_instance(alg, cfg)
+            got = solver_mod.solve(inst)
+            assert got.sat == brute_force_solve(inst).sat and not got.fallback
+            if got.sat:
+                assert satisfies(inst, got.solution)
+        assert splits[8] and splits[4]
 
     def test_fallback_flag_on_forced_assembly_failure(self, dd2, monkeypatch):
         inst = mk_instance(dd2, [((0, 1), SWAP), ((1, 2), SWAP), ((2, 3), SWAP)])
