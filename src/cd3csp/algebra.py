@@ -278,29 +278,39 @@ class Congruence:
 
 
 def _unary_translations(alg: Algebra) -> list[tuple[int, ...]]:
-    """All maps x -> f(c1,..,x,..,cm) from basic ops with constants."""
-    maps = []
+    """The distinct maps x -> f(c1,..,x,..,cm) from basic ops with constants.
+
+    In a row-major table, the cells that differ only in one argument form a
+    slice whose step is that argument's stride."""
+    n = alg.size
+    maps = set()
     for _, op in alg.ops:
-        m = op.arity
-        for pos in range(m):
-            for consts in itertools.product(alg.universe, repeat=m - 1):
-                args = list(consts[:pos]) + [0] + list(consts[pos:])
-                img = []
-                for x in alg.universe:
-                    args[pos] = x
-                    img.append(op.apply(*args))
-                maps.append(tuple(img))
-    return maps
+        for pos in range(op.arity):
+            stride = n ** (op.arity - 1 - pos)
+            maps.update(
+                tuple(op.table[i : i + n * stride : stride])
+                for i in range(len(op.table))
+                if i // stride % n == 0
+            )
+    return list(maps)
 
 
-def _congruence_closure(alg: Algebra, translations, seed_pairs) -> Congruence:
-    """Least congruence containing the seed pairs, given the algebra's
-    unary translations.
+def _congruence_closure(translations, start: Congruence, seed_pairs) -> Congruence:
+    """Least congruence containing a congruence start and the seed pairs,
+    given the algebra's unary translations.
 
     An equivalence closed under all one-variable translations of basic ops
     is invariant under the ops themselves (change one argument at a time).
+    start must be closed already: its blocks seed the union-find, each
+    element pointing at the first element of its block, and only the seed
+    pairs and the pairs they force are propagated.  When one pair merges
+    two closed classes, every other pair crossing between them follows
+    from that pair and pairs inside the classes, whose images are related
+    already.
     """
-    uf = _UnionFind(alg.size)
+    firsts = [c[0] for c in start.classes()]
+    uf = _UnionFind(start.size)
+    uf.parent = [firsts[b] for b in start.blocks]
     work = []
     for a, b in seed_pairs:
         if uf.union(a, b):
@@ -311,54 +321,47 @@ def _congruence_closure(alg: Algebra, translations, seed_pairs) -> Congruence:
             x, y = tr[a], tr[b]
             if uf.union(x, y):
                 work.append((x, y))
-    return Congruence(alg.size, tuple(uf.find(x) for x in range(alg.size)))
+    return Congruence(start.size, tuple(uf.find(x) for x in range(start.size)))
 
 
 def principal_congruence(alg: Algebra, a: int, b: int) -> Congruence:
     """Least congruence collapsing a with b."""
     if not (0 <= a < alg.size and 0 <= b < alg.size):
         raise ValueError("elements out of range")
-    return _congruence_closure(alg, _unary_translations(alg), [(a, b)])
+    zero = Congruence.zero(alg.size)
+    return _congruence_closure(_unary_translations(alg), zero, [(a, b)])
 
 
 def is_congruence(alg: Algebra, theta: Congruence) -> bool:
+    """Whether theta is closed under the unary translations, which for an
+    equivalence is the same as being compatible with the operations: theta
+    must be the closure, from zero, of its own pairs that link each element
+    to the first element of its block."""
     if theta.size != alg.size:
         return False
-    for _, op in alg.ops:
-        m = op.arity
-        for args in itertools.product(alg.universe, repeat=m):
-            base = op.apply(*args)
-            for pos in range(m):
-                for y in alg.universe:
-                    if not theta.related(args[pos], y):
-                        continue
-                    alt = list(args)
-                    alt[pos] = y
-                    if not theta.related(base, op.apply(*alt)):
-                        return False
-    return True
+    pairs = [(c[0], x) for c in theta.classes() for x in c[1:]]
+    zero = Congruence.zero(alg.size)
+    return _congruence_closure(_unary_translations(alg), zero, pairs) == theta
 
 
 def maximal_proper_congruence(alg: Algebra) -> Congruence | None:
     """A maximal congruence strictly below the full relation, or None.
 
-    Starting from the zero congruence, scans the pairs in lexicographic
-    order and keeps each pair not yet related whose congruence together
-    with the kept ones is proper; the result is the congruence the kept
-    pairs generate.  Returns None exactly when no pair was kept: no
-    congruence lies strictly between zero and the full relation (simple
-    algebras and one-element algebras).
+    Starting from the zero congruence theta, scans the pairs in
+    lexicographic order; for each pair theta does not relate, extends theta
+    by that one pair and keeps the result when it is proper.  Returns None
+    exactly when theta is still zero: no congruence lies strictly between
+    zero and the full relation (simple algebras and one-element algebras).
     """
     translations = _unary_translations(alg)
-    theta, kept = Congruence.zero(alg.size), []
+    theta = Congruence.zero(alg.size)
     for a, b in itertools.combinations(alg.universe, 2):
         if theta.related(a, b):
             continue
-        cand = _congruence_closure(alg, translations, [*kept, (a, b)])
+        cand = _congruence_closure(translations, theta, [(a, b)])
         if not cand.is_one:
             theta = cand
-            kept.append((a, b))
-    return theta if kept else None
+    return None if theta.is_zero else theta
 
 
 def is_simple(alg: Algebra) -> bool:
@@ -369,7 +372,7 @@ def is_simple(alg: Algebra) -> bool:
 
 def quotient(alg: Algebra, theta: Congruence) -> tuple[Algebra, tuple[int, ...]]:
     """Quotient algebra and the element -> block projection map."""
-    if theta.size != alg.size or not is_congruence(alg, theta):
+    if not is_congruence(alg, theta):
         raise NotACongruence(f"{theta} is not a congruence of {alg}")
     proj = theta.blocks
     classes = theta.classes()

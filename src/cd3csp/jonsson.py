@@ -160,8 +160,9 @@ def classify_binary(rel: Relation, alg_a: Algebra, alg_b: Algebra) -> BinaryClas
 
     Either the full product, or the graph of an onto homomorphism from the
     right factor to the left one, as read by _binary_shape (a subdirect
-    graph is onto) and then checked to commute with every operation.
-    Anything else raises LemmaViolation.
+    graph is onto).  The graph of a total map is closed under an operation
+    exactly when the map commutes with it, so the invariance check already
+    makes the map a homomorphism.  Any other shape raises LemmaViolation.
     """
     if rel.arity != 2 or rel.sizes != (alg_a.size, alg_b.size):
         raise ValueError("relation shape does not match the two algebras")
@@ -181,14 +182,7 @@ def classify_binary(rel: Relation, alg_a: Algebra, alg_b: Algebra) -> BinaryClas
         raise LemmaViolation(
             "relation is neither full nor functional: a right element has two left matches"
         )
-    for name in alg_a.op_names():
-        fa, fb = alg_a.op(name), alg_b.op(name)
-        for args in itertools.product(alg_b.universe, repeat=fb.arity):
-            if hom[fb.apply(*args)] != fa.apply(*(hom[x] for x in args)):
-                raise LemmaViolation(
-                    f"functional relation does not commute with {name} at {args}"
-                )
-    return BinaryClassification("hom_graph", tuple(hom))
+    return BinaryClassification("hom_graph", hom)
 
 
 @dataclass(frozen=True)

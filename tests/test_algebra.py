@@ -28,6 +28,7 @@ from cd3csp import (
     subuniverse_closure,
     switch_algebra,
 )
+from cd3csp.algebra import _congruence_closure, _unary_translations
 from cd3csp.errors import Cd3Violation
 
 from tests.conftest import brute_compatible, brute_congruences, labels_of, all_partitions
@@ -174,6 +175,25 @@ class TestSubuniverses:
             subuniverse_closure(majority_algebra(2), (5,))
 
 
+@pytest.fixture(scope="module")
+def products_with_congruences():
+    """Products with nontrivial congruences, each with its brute-force
+    congruence labels: the zero, the two kernels and the full relation."""
+
+    def gen(size, seed):
+        return gen_cd3_algebra(GeneratorConfig(seed=seed, domain_size=size))
+
+    d, m = switch_algebra(2), majority_algebra(2)
+    algs = (
+        product_algebra(d, d),
+        product_algebra(m, m),
+        product_algebra(m, d),
+        product_algebra(gen(2, 0), gen(2, 1)),
+        product_algebra(gen(3, 0), d),
+    )
+    return [(alg, brute_congruences(alg)) for alg in algs]
+
+
 class TestCongruences:
     def test_canonical_labels(self):
         th = Congruence.from_pairs(3, [(2, 0)])
@@ -200,6 +220,39 @@ class TestCongruences:
                 checked_good += want
                 checked_bad += not want
         assert checked_good and checked_bad
+
+    def test_is_congruence_on_products(self, products_with_congruences):
+        for alg, congs in products_with_congruences:
+            assert len(congs) == 4
+            for part in all_partitions(alg.size):
+                lab = labels_of(part, alg.size)
+                assert is_congruence(alg, Congruence(alg.size, lab)) == (lab in congs)
+
+    def test_principal_and_maximal_on_products(self, products_with_congruences):
+        for alg, congs in products_with_congruences:
+            thetas = [Congruence(alg.size, lab) for lab in congs]
+            for a, b in itertools.combinations(alg.universe, 2):
+                above = [t for t in thetas if t.related(a, b)]
+                got = principal_congruence(alg, a, b)
+                assert got in above and all(got.refines(t) for t in above)
+            got = maximal_proper_congruence(alg)
+            proper = [t for t in thetas if not t.is_zero and not t.is_one]
+            assert got in proper
+            assert not any(got.refines(t) and t != got for t in proper)
+
+    def test_closure_extends_a_closed_start(self, dd2sq):
+        # in a product of simple algebras every congruence is principal, so
+        # a maximal-congruence scan that closed each candidate from zero
+        # would still find a maximal one; compare the closures directly
+        alg = product_algebra(dd2sq, switch_algebra(2))
+        translations = _unary_translations(alg)
+        zero = Congruence.zero(alg.size)
+        for a, b in itertools.combinations(alg.universe, 2):
+            start = principal_congruence(alg, a, b)
+            links = [(c[0], x) for c in start.classes() for x in c[1:]]
+            for pair in itertools.combinations(alg.universe, 2):
+                got = _congruence_closure(translations, start, [pair])
+                assert got == _congruence_closure(translations, zero, [*links, pair])
 
     def test_principal_is_least_containing_pair(self, dd2sq):
         # frozen: collapsing (0,0)~(0,1) forces the first-projection kernel

@@ -13,6 +13,7 @@ from cd3csp import (
     Constraint,
     GeneratorConfig,
     Instance,
+    InvarianceViolation,
     KSystem,
     LemmaViolation,
     NotAnIdeal,
@@ -170,6 +171,16 @@ class TestClassifyBinary:
         # (x, (x,y)) pairs: the first-projection homomorphism from the square
         rel = Relation((2, 4), tuple((a // 2, a) for a in range(4)))
         out = classify_binary(rel, dd2, dd2sq)
+        assert out.kind == "hom_graph" and out.hom == (0, 0, 1, 1)
+
+    def test_rejects_graph_of_a_non_homomorphism(self, dd2, dd2sq):
+        # a graph is invariant exactly when its map commutes with the ops
+        def graph(h):
+            return Relation((2, 4), tuple((h[b], b) for b in range(4)))
+
+        with pytest.raises(InvarianceViolation):
+            classify_binary(graph((0, 1, 1, 0)), dd2, dd2sq)
+        out = classify_binary(graph((0, 0, 1, 1)), dd2, dd2sq)
         assert out.kind == "hom_graph" and out.hom == (0, 0, 1, 1)
 
     def test_rejects_non_subdirect(self, dd2):

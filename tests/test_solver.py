@@ -736,6 +736,38 @@ class TestSolve:
                 assert satisfies(inst, got.solution)
         assert splits[8] and splits[4]
 
+    def test_agrees_on_products_of_generated_algebras(self, monkeypatch):
+        # generated algebras are simple in practice, so their products are
+        # the generated domains that split; a size-9 product of two
+        # ideal-free size-3 algebras can also split a size-6 subdirect trim
+        splits = collections.Counter()
+        original = solver_mod.quotient_reduce
+
+        def spy(*args):
+            splits[args[0].base.sig.domains[args[1]].size] += 1
+            return original(*args)
+
+        def gen(seed):
+            return gen_cd3_algebra(GeneratorConfig(seed=seed, domain_size=3))
+
+        monkeypatch.setattr(solver_mod, "quotient_reduce", spy)
+        draws = (
+            (product_algebra(gen(0), switch_algebra(2)), (0, 1)),
+            (product_algebra(gen(3), switch_algebra(2)), (0, 1)),
+            (product_algebra(gen(3), gen(6)), (0, 1, 2)),
+            (product_algebra(gen(6), gen(14)), (0, 2)),
+            (product_algebra(gen(14), gen(15)), (0,)),
+        )
+        for alg, seeds in draws:
+            assert some_proper_ideal(alg) is None and not is_simple(alg)
+            for seed in seeds:
+                inst = planted_instance(random.Random(seed), alg, 5, (3, 3, 2), 1)
+                got = solver_mod.solve(inst)
+                assert got.sat == brute_force_solve(inst).sat and not got.fallback
+                if got.sat:
+                    assert satisfies(inst, got.solution)
+        assert splits[6] and splits[9]
+
     def test_fallback_flag_on_forced_assembly_failure(self, dd2, monkeypatch):
         inst = mk_instance(dd2, [((0, 1), SWAP), ((1, 2), SWAP), ((2, 3), SWAP)])
 
