@@ -3,10 +3,11 @@
 A k-minimal instance satisfies two conditions: every set of at most k
 variables is covered by some constraint scope, and any two constraints
 agree on projections onto shared variable sets of size at most k.  The
-engine materializes an entry relation for every nonempty variable set of
-size at most min(k, n) and runs a FIFO worklist over (constraint, subset)
-pairs until nothing shrinks.  At the fixpoint each entry equals the
-projection of every constraint covering it.
+engine keeps an entry relation for every nonempty variable set of size at
+most min(k, n) and runs a FIFO worklist over (constraint, subset) pairs
+until nothing shrinks, building each entry when the worklist first
+reaches it.  At the fixpoint each entry equals the projection of every
+constraint covering it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,9 @@ class KSystem:
     variables: every level set is stored, smaller ones only in
     k_minimalize's result.  entry() derives a smaller one not stored as
     the projection of a level entry holding it; in a k-minimal system
-    every such projection agrees."""
+    every such projection agrees.  The system of an emptied
+    MinimalizedInstance is partial: it stores only the entries its
+    propagation reached, and entry() must not be asked for others."""
 
     k: int
     nvars: int
@@ -63,7 +66,9 @@ class MinimalizedInstance:
     base holds only the constraints whose scopes have more than
     system.level variables.  At a nonempty fixpoint every narrower
     constraint equals the entry on its scope, so the entries and base
-    together carry the whole instance (see effective_instance).
+    together carry the whole instance (see effective_instance).  An
+    emptied one (certificate set) carries the scope that ran out of
+    tuples; its system holds only the entries propagation reached.
     """
 
     base: Instance
@@ -93,14 +98,83 @@ def _merge_by_scope(pairs) -> dict:
     return merged
 
 
+class _Memo(dict):
+    """A dict that computes a missing value once, as fn(key)."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+class _Seeds(dict):
+    """The seed of the entry on each variable set I, computed once.
+
+    A seed depends only on the merged constraints and the seeds of
+    smaller sets, never on the current entries.  base_cover[I] lists the
+    (scope, positions of I) of the merged constraints holding I.
+    """
+
+    def __init__(self, sizes, merged, base_cover):
+        super().__init__()
+        self.sizes, self.merged, self.base_cover = sizes, merged, base_cover
+
+    def __missing__(self, I):
+        covers = self.base_cover.get(I)
+        if covers:
+            # the intersection of the covering constraints' projections
+            acc = None
+            for s, pos in covers:
+                p = {tuple(t[q] for q in pos) for t in self.merged[s].tuples}
+                acc = p if acc is None else acc & p
+            tuples = tuple(sorted(acc))
+        elif len(I) == 1:
+            tuples = tuple((x,) for x in range(self.sizes[I[0]]))
+        else:
+            # no covering constraint: the product of the unary seeds,
+            # filtered by the seeds on proper subsets
+            values = [[x for (x,) in self[(v,)].tuples] for v in I]
+            checks = [
+                (itemgetter(*pos), self[tuple(I[q] for q in pos)])
+                for r in range(2, len(I))
+                for pos in itertools.combinations(range(len(I)), r)
+            ]
+            tuples = tuple(
+                t
+                for t in itertools.product(*values)
+                if all(get(t) in E for get, E in checks)
+            )
+        rel = self[I] = Relation._trusted(tuple(self.sizes[v] for v in I), tuples)
+        return rel
+
+
+def _subsets(n, level):
+    """The nonempty sets of at most level of n variables, by (size, lex)."""
+    return (I for r in range(1, level + 1) for I in itertools.combinations(range(n), r))
+
+
 def k_minimalize(inst: Instance, k: int) -> MinimalizedInstance:
-    """Propagate to the k-minimal fixpoint, materializing all entries.
+    """Propagate to the k-minimal fixpoint.
 
     Constraints sharing a scope are merged by intersection first.  The
     result's base keeps only the merged constraints wider than the level:
     each narrower one was filtered against its own entry to the fixpoint
-    and equals it.  Returns empty_flag=True (with the scope that emptied
-    as certificate) as soon as any relation runs out of tuples.
+    and equals it.  A nonempty result stores an entry on every set of at
+    most level variables.  As soon as any relation runs out of tuples the
+    result is emptied: its certificate is the scope that emptied, and its
+    system holds only the entries the worklist reached, each as it stood
+    at that pop; nothing may read other entries of an emptied system.
+
+    The worklist is FIFO over (relation, subset) items.  The initial queue
+    lists every relation's subsets, base scopes first and then the entries
+    by (size, lex); it is walked by a cursor, and an entry, its seed and
+    the relations covering it are built when the worklist first reaches
+    them.  A seed depends only on the merged constraints and the seeds of
+    smaller sets, so the pop order and every relation are those of a
+    propagation that seeds all entries first.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -113,58 +187,31 @@ def k_minimalize(inst: Instance, k: int) -> MinimalizedInstance:
     merged = _merge_by_scope((c.scope, c.rel) for c in inst.constraints)
     base_scopes = sorted(merged, key=lambda s: (len(s), s))
 
-    rels: dict = {("b", s): merged[s] for s in base_scopes}
-    subsets_by_size = [
-        tuple(I)
-        for r in range(1, level + 1)
-        for I in itertools.combinations(range(n), r)
-    ]
-    subsets_by_size.sort(key=lambda s: (len(s), s))
+    def positions(cid):
+        # the entries a relation projects onto, by (size, lex), with their
+        # positions in its scope; an entry does not project onto itself
+        s = cid[1]
+        top = len(s) - 1 if cid[0] == "e" else min(level, len(s))
+        return {
+            tuple(s[q] for q in pos): pos
+            for r in range(1, top + 1)
+            for pos in itertools.combinations(range(len(s)), r)
+        }
 
-    # One pass over each relation's own subsets: subs maps the entries a
-    # relation projects onto to their positions in its scope, cover lists
-    # (in cids order) the relations whose scope contains a subset, base
-    # scopes first.
-    cids = [("b", s) for s in base_scopes] + [("e", I) for I in subsets_by_size]
-    scope_of = {cid: cid[1] for cid in cids}
-    subs: dict = {}
-    cover: dict = {I: [] for I in subsets_by_size}
-    for cid in cids:
-        s = scope_of[cid]
-        out = {}
-        for r in range(1, min(level, len(s)) + 1):
-            for pos in itertools.combinations(range(len(s)), r):
-                I = tuple(s[q] for q in pos)
-                cover[I].append(cid)
-                if cid != ("e", I):
-                    out[I] = pos
-        subs[cid] = out
+    subs = _Memo(positions)
+    base_cover: dict = {}
+    for s in base_scopes:
+        for I, pos in subs[("b", s)].items():
+            base_cover.setdefault(I, []).append((s, pos))
 
-    for I in subsets_by_size:
-        covers = [cid[1] for cid in cover[I] if cid[0] == "b"]
-        if covers:
-            acc = None
-            for s in covers:
-                pos = subs[("b", s)][I]
-                p = {tuple(t[q] for q in pos) for t in merged[s].tuples}
-                acc = p if acc is None else acc & p
-        elif len(I) == 1:
-            acc = [(x,) for x in range(sizes[I[0]])]
-        else:
-            # no covering constraint: the product of the unary entries,
-            # filtered by the already-seeded entries on proper subsets
-            values = [[x for (x,) in rels[("e", (v,))].tuples] for v in I]
-            checks = [
-                (itemgetter(*pos), rels[("e", tuple(I[q] for q in pos))])
-                for r in range(2, len(I))
-                for pos in itertools.combinations(range(len(I)), r)
-            ]
-            acc = [
-                t
-                for t in itertools.product(*values)
-                if all(get(t) in E for get, E in checks)
-            ]
-        rels[("e", I)] = Relation(tuple(sizes[v] for v in I), tuple(acc))
+    # no memo's function refers to its own memo, so nothing built here
+    # outlives the call in a reference cycle
+    seeds = _Seeds(sizes, merged, base_cover)
+
+    # A relation is keyed ("b", scope) for a merged constraint, ("e", I)
+    # for the entry on I; an entry starts from its seed when first read.
+    rels = _Memo(lambda cid: seeds[cid[1]])
+    rels.update((("b", s), merged[s]) for s in base_scopes)
 
     def finish(empty_scope):
         base = Instance(
@@ -174,24 +221,66 @@ def k_minimalize(inst: Instance, k: int) -> MinimalizedInstance:
             ),
             k,
         )
-        system = KSystem(k, n, {I: rels[("e", I)] for I in subsets_by_size})
+        if empty_scope is None:
+            reached = _subsets(n, level)
+        else:
+            reached = sorted(
+                (cid[1] for cid in rels if cid[0] == "e"), key=lambda I: (len(I), I)
+            )
+        system = KSystem(k, n, {I: rels[("e", I)] for I in reached})
         return MinimalizedInstance(base, system, empty_scope)
 
     for s in base_scopes:
-        if rels[("b", s)].is_empty:
+        if merged[s].is_empty:
             return finish(s)
 
-    queue = deque((cid, I) for cid in cids for I in subs[cid])
-    pending = set(queue)
+    def covering(I):
+        # the relations whose scope holds I, in initial-queue order
+        rest = [v for v in range(n) if v not in I]
+        return [("b", s) for s, _ in base_cover.get(I, ())] + [
+            ("e", tuple(sorted(I + extra)))
+            for r in range(level - len(I) + 1)
+            for extra in itertools.combinations(rest, r)
+        ]
+
+    cover = _Memo(covering)
+
+    # The cursor is at relation `cur` (as a (kind, size, scope) rank) and
+    # has handed out its subsets up to `last`; every item beyond it is
+    # still pending, so pushing one must not queue it twice.
+    cur = last = None
+
+    def initial():
+        nonlocal cur, last
+        cids = itertools.chain(
+            (("b", s) for s in base_scopes), (("e", I) for I in _subsets(n, level))
+        )
+        for cid in cids:
+            cur = (cid[0], len(cid[1]), cid[1])
+            for I in subs[cid]:
+                last = (len(I), I)
+                yield cid, I
+        cur = ("z",)  # past every relation
+
+    queue, queued = deque(), set()
+
+    def requeued():
+        while queue:
+            item = queue.popleft()
+            queued.discard(item)
+            yield item
 
     def push(item):
-        if item not in pending:
-            pending.add(item)
-            queue.append(item)
+        if item in queued:
+            return
+        cid, J = item
+        rank = (cid[0], len(cid[1]), cid[1])
+        if rank > cur or (rank == cur and (len(J), J) > last):
+            return
+        queued.add(item)
+        queue.append(item)
 
-    while queue:
-        cid, I = queue.popleft()
-        pending.discard((cid, I))
+    for cid, I in itertools.chain(initial(), requeued()):
         R = rels[cid]
         ekey = ("e", I)
         E = rels[ekey]
@@ -206,12 +295,14 @@ def k_minimalize(inst: Instance, k: int) -> MinimalizedInstance:
                 proj_set.add(key)
         changed_r = len(keep) < len(R.tuples)
         if changed_r:
-            rels[cid] = Relation(R.sizes, tuple(keep))
+            rels[cid] = Relation._trusted(R.sizes, tuple(keep))
             if not keep:
-                return finish(scope_of[cid])
+                return finish(cid[1])
         changed_e = len(proj_set) < len(E)
         if changed_e:
-            rels[ekey] = Relation(E.sizes, tuple(proj_set))
+            rels[ekey] = Relation._trusted(
+                E.sizes, tuple(t for t in E.tuples if t in proj_set)
+            )
             if not proj_set:
                 return finish(I)
 

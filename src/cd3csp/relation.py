@@ -34,6 +34,16 @@ class Relation:
         object.__setattr__(self, "tuples", tuple(canon))
         object.__setattr__(self, "_set", frozenset(canon))
 
+    @classmethod
+    def _trusted(cls, sizes, tuples) -> "Relation":
+        """A relation from tuples already sorted, unique and in range for
+        sizes, built without the checks of the public constructor."""
+        rel = object.__new__(cls)
+        object.__setattr__(rel, "sizes", sizes)
+        object.__setattr__(rel, "tuples", tuples)
+        object.__setattr__(rel, "_set", frozenset(tuples))
+        return rel
+
     def __repr__(self):
         return f"Relation(sizes={self.sizes}, tuples={len(self.tuples)})"
 

@@ -1,5 +1,6 @@
 """k-minimality: propagation, emptiness certificates, subdirect reduction."""
 
+import gc
 import itertools
 import random
 
@@ -168,29 +169,35 @@ class TestFixpointProperties:
 # solve(inst) and k_minimalize(inst, 3) on gen_instance draws over
 # gen_cd3_algebra(seed=300 + i, size 3), 10 variables, 14 constraints with
 # seed 700 + i: (certificate, solution, total tuples over the k-system's
-# entries), recorded before the k-system set-up was rewritten.
+# entries), recorded before the k-system set-up was rewritten.  An emptied
+# system stores only the entries its worklist reached; its total is that of
+# the eagerly seeded propagation's entries on the same sets, so it still
+# pins the pop order.
 PINNED = (
     (None, (2, 0, 1, 0, 0, 0, 0, 0, 0, 2), 1855),
-    ((5,), None, 434),
-    ((0, 3), None, 803),
+    ((5,), None, 7),
+    ((0, 3), None, 11),
     (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 0), 3675),
-    ((2,), None, 180),
-    ((7,), None, 226),
+    ((2,), None, 0),
+    ((7,), None, 1),
     (None, (1, 1, 0, 0, 0, 0, 1, 0, 0, 0), 580),
-    ((0,), None, 554),
-    ((6,), None, 395),
+    ((0,), None, 0),
+    ((6,), None, 2),
     (None, (0, 0, 0, 0, 0, 0, 0, 0, 0, 0), 580),
-    ((2,), None, 1104),
+    ((2,), None, 2),
     (None, (0, 1, 0, 1, 0, 0, 0, 1, 1, 1), 1269),
-    ((0, 5), None, 2568),
+    ((0, 5), None, 9),
     (None, (0, 2, 0, 0, 0, 0, 0, 0, 0, 0), 933),
     (None, (0, 0, 0, 0, 0, 0, 2, 2, 2, 2), 949),
     (None, (2, 2, 2, 2, 2, 2, 0, 2, 2, 2), 806),
-    ((8,), None, 1140),
-    ((7,), None, 350),
-    ((3,), None, 730),
-    ((3, 8), None, 173),
+    ((8,), None, 7),
+    ((7,), None, 3),
+    ((3,), None, 3),
+    ((3, 8), None, 0),
 )
+
+# the sets of at most 3 of 10 variables
+ALL_ENTRIES = 10 + 45 + 120
 
 
 class TestPinnedOutcomes:
@@ -209,6 +216,126 @@ class TestPinnedOutcomes:
             ), i
             mi = k_minimalize(inst, 3)
             assert sum(len(r) for r in mi.system.entries.values()) == tuples, i
+            stored = len(mi.system.entries)
+            assert stored == ALL_ENTRIES if certificate is None else stored < ALL_ENTRIES, i
+
+
+def _stored(mi):
+    return [(I, r.tuples) for I, r in mi.system.entries.items()]
+
+
+def _products(n, level, keep=lambda I, t: True):
+    """Every set of at most level of n two-valued variables, by (size,
+    lex), with the tuples of its product that keep accepts."""
+    return [
+        (I, tuple(t for t in itertools.product(range(2), repeat=r) if keep(I, t)))
+        for r in range(1, level + 1)
+        for I in itertools.combinations(range(n), r)
+    ]
+
+
+class TestLazySetUp:
+    """k_minimalize results on edge cases, recorded from the set-up that
+    seeded every entry before propagating.  An emptied result stores only
+    the entries its worklist reached, each equal to the recorded one."""
+
+    def test_no_constraints_store_every_entry_full(self, maj2):
+        for n in (1, 3):
+            sig = Signature((maj2,) * n)
+            for k in range(1, 5):
+                mi = k_minimalize(Instance(sig, ()), k)
+                assert (mi.certificate, mi.base) == (None, Instance(sig, (), k))
+                assert _stored(mi) == _products(n, min(k, n)), (n, k)
+
+    def test_partly_covering_constraint_seeds_the_rest_full(self, maj2):
+        inst = Instance(
+            Signature((maj2,) * 3), (Constraint((0, 1), Relation((2, 2), IMPL)),)
+        )
+
+        def impl(I, t):
+            return not {0, 1} <= set(I) or (t[0], t[1]) in IMPL
+
+        for k in (2, 3):
+            mi = k_minimalize(inst, k)
+            assert (mi.certificate, mi.base) == (None, Instance(inst.sig, (), k))
+            assert _stored(mi) == _products(3, k, impl), k
+
+    def test_empty_intersection_certifies_before_any_pop(self, maj2):
+        full3 = tuple(itertools.product(range(2), repeat=3))
+        inst = mk_instance(maj2, [((0, 1), EQ2), ((0, 1), NEQ2), ((0, 1, 2), full3)])
+        mi = k_minimalize(inst, 2)
+        assert mi.certificate == (0, 1)
+        assert mi.base == Instance(inst.sig, (inst.constraints[2],), 2)
+        assert _stored(mi) == []
+
+    def test_empty_constraint_certifies_before_any_pop(self, maj2):
+        inst = mk_instance(maj2, [((0, 1), ()), ((1, 2), IMPL)])
+        mi = k_minimalize(inst, 3)
+        assert (mi.certificate, mi.base) == ((0, 1), Instance(inst.sig, (), 3))
+        assert _stored(mi) == []
+
+    def test_uncovered_triple_seed_is_filtered_by_pair_seeds(self, maj2):
+        # the pair seeds on 0, 1, 2 admit no triple, so the empty seed
+        # of (0, 1, 2) empties (0,) at its first pop
+        inst = mk_instance(
+            maj2, [((0, 1), EQ2), ((1, 2), EQ2), ((0, 2), NEQ2), ((2, 3), IMPL)]
+        )
+        mi = k_minimalize(inst, 3)
+        assert (mi.certificate, mi.base) == ((0,), Instance(inst.sig, (), 3))
+        both = ((0,), (1,))
+        assert _stored(mi) == [
+            ((0,), ()),
+            ((1,), both),
+            ((2,), both),
+            ((3,), both),
+            ((0, 1), EQ2),
+            ((0, 2), NEQ2),
+            ((0, 3), FULL2),
+            ((1, 2), EQ2),
+            ((1, 3), FULL2),
+            ((2, 3), IMPL),
+            ((0, 1, 2), ()),
+        ]
+
+    def test_early_emptying_builds_only_what_the_worklist_reaches(self, monkeypatch):
+        # an eager set-up builds a seed for each of the 175 sets of at
+        # most 3 of 10 variables before the first pop
+        alg = gen_cd3_algebra(GeneratorConfig(seed=301, domain_size=3))
+        cfg = GeneratorConfig(seed=701, domain_size=3, num_vars=10, num_constraints=14)
+        inst = gen_instance(alg, cfg)
+        built = []
+        trusted, checked = Relation._trusted.__func__, Relation.__post_init__
+
+        def spy_trusted(cls, sizes, tuples):
+            built.append(sizes)
+            return trusted(cls, sizes, tuples)
+
+        def spy_checked(rel):
+            built.append(rel.sizes)
+            checked(rel)
+
+        monkeypatch.setattr(Relation, "_trusted", classmethod(spy_trusted))
+        monkeypatch.setattr(Relation, "__post_init__", spy_checked)
+        mi = k_minimalize(inst, 3)
+        assert mi.certificate == (5,)
+        assert len(mi.system.entries) == 5
+        assert len(built) == 8
+
+    def test_leaves_no_reference_cycles(self):
+        # a cycle would keep each call's relations until a full collection
+        for i in (0, 1):  # a satisfiable and an emptied draw
+            alg = gen_cd3_algebra(GeneratorConfig(seed=300 + i, domain_size=3))
+            cfg = GeneratorConfig(
+                seed=700 + i, domain_size=3, num_vars=10, num_constraints=14
+            )
+            inst = gen_instance(alg, cfg)
+            gc.collect()
+            gc.disable()
+            try:
+                k_minimalize(inst, 3)
+                assert gc.collect() == 0, i
+            finally:
+                gc.enable()
 
 
 class TestKSystem:
