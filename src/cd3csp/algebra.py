@@ -145,24 +145,29 @@ class Cd3Report:
 
 
 def check_cd3(alg: Algebra) -> Cd3Report:
-    """Verify the five chain identities, reporting the first bad cell of each."""
+    """Verify the five chain identities, reporting the first bad cell of each.
+
+    Cells are scanned with x outer and y inner, and the tables are read
+    directly at the row-major index (x*n + y)*n + z of cell (x, y, z).
+    """
     n1, n2 = alg.jonsson
-    p, q = alg.op(n1), alg.op(n2)
+    p, q = alg.op(n1).table, alg.op(n2).table
+    n = alg.size
+    pairs = [(x, y) for x in range(n) for y in range(n)]
+    # each identity with a lazy scan of the cells that break it
     identities = (
-        (f"{n1}(x,y,x)=x", lambda x, y, z: p.apply(x, y, z) == x, "xyx"),
-        (f"{n2}(x,y,x)=x", lambda x, y, z: q.apply(x, y, z) == x, "xyx"),
-        (f"{n1}(x,x,y)=x", lambda x, y, z: p.apply(x, y, z) == x, "xxy"),
-        (f"{n2}(x,x,y)=y", lambda x, y, z: q.apply(x, y, z) == z, "xxy"),
-        (f"{n1}(x,y,y)={n2}(x,y,y)", lambda x, y, z: p.apply(x, y, z) == q.apply(x, y, z), "xyy"),
+        (f"{n1}(x,y,x)=x", ((x, y, x) for x, y in pairs if p[(x * n + y) * n + x] != x)),
+        (f"{n2}(x,y,x)=x", ((x, y, x) for x, y in pairs if q[(x * n + y) * n + x] != x)),
+        (f"{n1}(x,x,y)=x", ((x, x, y) for x, y in pairs if p[(x * n + x) * n + y] != x)),
+        (f"{n2}(x,x,y)=y", ((x, x, y) for x, y in pairs if q[(x * n + x) * n + y] != y)),
+        (
+            f"{n1}(x,y,y)={n2}(x,y,y)",
+            ((x, y, y) for x, y in pairs if p[(x * n + y) * n + y] != q[(x * n + y) * n + y]),
+        ),
     )
     failures = []
-    for label, holds, shape in identities:
-        witness = None
-        for x, y in itertools.product(alg.universe, repeat=2):
-            cell = {"xyx": (x, y, x), "xxy": (x, x, y), "xyy": (x, y, y)}[shape]
-            if not holds(*cell):
-                witness = cell
-                break
+    for label, bad_cells in identities:
+        witness = next(bad_cells, None)
         if witness is not None:
             failures.append((label, witness))
     return Cd3Report(ok=not failures, failures=tuple(failures))

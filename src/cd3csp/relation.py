@@ -9,7 +9,9 @@ normalized by constraint_from_raw.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .algebra import Algebra
 from .errors import InvarianceViolation
@@ -133,15 +135,58 @@ def _images(tables, sizes, pools):
         yield zip(*cols)
 
 
+def _product_blocks(rel: Relation):
+    """The finest partition of a nonempty relation's coordinates into blocks
+    B with rel equal to the product of its projections onto the blocks, as
+    (sorted coordinates, |projection|) pairs.
+
+    rel is contained in the product of its projections onto I and J for any
+    split {I, J} of its coordinates, so it equals that product exactly when
+    |pi_I rel| * |pi_J rel| = |rel|.  Only projection sizes are compared.
+    The partitions a nonempty rel factors over are closed under meet, so a
+    finest one exists.  Coordinates are added one at a time: the finest
+    blocks of the first c + 1 coordinates are some of the finest blocks of
+    the first c, kept apart, plus one block holding c and the others merged.
+    The new coordinate's block starts with every earlier coordinate and
+    drops an earlier block when the sizes multiply out, which keeps exactly
+    the blocks that split off.  Arity n costs O(n^2) projections.
+    """
+
+    def size(coords):
+        return len(set(map(itemgetter(*coords), rel.tuples)))
+
+    blocks = []
+    for c in range(rel.arity):
+        joined = list(range(c + 1))
+        joined_size = size(joined) if c + 1 < rel.arity else len(rel)
+        kept = []
+        for block, block_size in blocks:
+            rest = [i for i in joined if i not in block]
+            rest_size = size(rest)
+            if rest_size * block_size == joined_size:
+                kept.append((block, block_size))
+                joined, joined_size = rest, rest_size
+        blocks = kept + [(joined, joined_size)]
+    return blocks
+
+
 def is_invariant(rel: Relation, algs) -> bool:
     """Whether every stored operation, applied coordinatewise, maps the
     relation into itself.  One algebra per coordinate, same op names, each
     operation with one arity across the coordinates.
 
-    Every argument list is checked: an m-ary operation costs |rel|^m
-    images.  Tuples of a Relation lie in range by construction and the
-    coordinate algebras must match its sizes, so the tables are indexed
-    directly.
+    A product of subuniverses is a subuniverse, and a projection of one is
+    one, so a relation that is the product of its projections onto blocks
+    of coordinates is invariant exactly when each projection is.  The
+    relation is split into its finest such blocks (_product_blocks) and
+    each block's projection is checked on every argument list: an m-ary
+    operation costs the sum over blocks B of |pi_B rel|^m images, in place
+    of |rel|^m.  Two kinds of block need no check: one that is the full
+    product of its domains, which every operation preserves, and one with a
+    single tuple, which every operation fixes because Algebra requires
+    idempotent operations.  Tuples of a Relation lie in range by
+    construction and the coordinate algebras must match its sizes, so the
+    tables are indexed directly.
     """
     algs = tuple(algs)
     if len(algs) != rel.arity:
@@ -150,10 +195,18 @@ def is_invariant(rel: Relation, algs) -> bool:
     for a, s in zip(algs, rel.sizes):
         if a.size != s:
             raise ValueError("coordinate algebra size does not match relation")
-    for m, tables in ops:
-        for chunk in _images(tables, rel.sizes, [rel.tuples] * m):
-            if not rel._set.issuperset(chunk):
-                return False
+    if rel.is_empty:
+        return True
+    for block, block_size in _product_blocks(rel):
+        sizes = tuple(rel.sizes[i] for i in block)
+        if block_size == 1 or block_size == math.prod(sizes):
+            continue
+        rows = {tuple(t[i] for i in block) for t in rel.tuples}
+        for m, tables in ops:
+            block_tables = tuple(tables[i] for i in block)
+            for chunk in _images(block_tables, sizes, [rows] * m):
+                if not rows.issuperset(chunk):
+                    return False
     return True
 
 
@@ -300,12 +353,25 @@ def scope_algebras(inst: Instance, scope) -> tuple[Algebra, ...]:
 
 
 def validate_invariance(inst: Instance) -> None:
-    """Raise unless every constraint relation is preserved by its domains."""
+    """Raise unless every constraint relation is preserved by its domains.
+
+    Each distinct (relation, scope algebras) pair is checked once per call:
+    a constraint repeating a pair already found invariant is skipped, and
+    the first constraint whose pair is not invariant is the one reported.
+    Algebras are told apart by identity, since hashing their tables would
+    cost more than most checks; the instance keeps them alive for the call.
+    """
+    checked = set()
     for c in inst.constraints:
-        if not is_invariant(c.rel, scope_algebras(inst, c.scope)):
+        algs = scope_algebras(inst, c.scope)
+        key = (c.rel, tuple(map(id, algs)))
+        if key in checked:
+            continue
+        if not is_invariant(c.rel, algs):
             raise InvarianceViolation(
                 f"constraint on scope {c.scope} is not preserved by the domain operations"
             )
+        checked.add(key)
 
 
 def satisfies(inst: Instance, assignment) -> bool:

@@ -14,6 +14,7 @@ from cd3csp import (
     Instance,
     Relation,
     Signature,
+    generated_subpower,
     majority_algebra,
     product_algebra,
     switch_algebra,
@@ -156,6 +157,19 @@ def mk_instance(alg, constraints):
         for scope, tuples in constraints
     )
     return Instance(Signature((alg,) * nvars), cons)
+
+
+def planted_instance(rng, alg, nvars, arities, extra):
+    """Instance whose constraints each close a planted tuple and ``extra``
+    random tuples under the operations."""
+    planted = [rng.randrange(alg.size) for _ in range(nvars)]
+    constraints = []
+    for arity in arities:
+        scope = tuple(sorted(rng.sample(range(nvars), arity)))
+        seeds = [tuple(planted[v] for v in scope)]
+        seeds += [tuple(rng.randrange(alg.size) for _ in scope) for _ in range(extra)]
+        constraints.append(Constraint(scope, generated_subpower((alg,) * arity, seeds)))
+    return Instance(Signature((alg,) * nvars), tuple(constraints))
 
 
 EQ2 = ((0, 0), (1, 1))

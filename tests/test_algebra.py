@@ -7,6 +7,7 @@ import pytest
 
 from cd3csp import (
     Algebra,
+    Cd3Report,
     Congruence,
     EmptyDomain,
     GeneratorConfig,
@@ -132,6 +133,39 @@ class TestChainIdentities:
         assert "j1(x,y,x)=x" in labels
         witness = dict(report.failures)["j1(x,y,x)=x"]
         assert witness == (0, 1, 0)
+
+    def test_report_pins_labels_order_and_first_witness(self):
+        # majority on three elements with cells broken so that every
+        # identity fails, some at two cells: the witness is the first bad
+        # cell with x outer and y inner
+        m = majority_algebra(3)
+        p, q = list(m.j1.table), list(m.j2.table)
+
+        def at(x, y, z):
+            return (x * 3 + y) * 3 + z
+
+        p[at(1, 2, 1)] = p[at(2, 0, 2)] = 0
+        q[at(2, 1, 2)] = 1
+        p[at(0, 0, 2)] = 2
+        p[at(1, 1, 0)] = 0
+        q[at(2, 2, 1)] = 0
+        for cell in ((1, 0, 0), (0, 2, 2)):
+            p[at(*cell)] = (q[at(*cell)] + 1) % 3
+        alg = Algebra(
+            3,
+            (("j1", OperationTable(3, 3, tuple(p))), ("j2", OperationTable(3, 3, tuple(q)))),
+            ("j1", "j2"),
+        )
+        assert check_cd3(alg) == Cd3Report(
+            ok=False,
+            failures=(
+                ("j1(x,y,x)=x", (1, 2, 1)),
+                ("j2(x,y,x)=x", (2, 1, 2)),
+                ("j1(x,x,y)=x", (0, 0, 2)),
+                ("j2(x,x,y)=y", (2, 2, 1)),
+                ("j1(x,y,y)=j2(x,y,y)", (0, 2, 2)),
+            ),
+        )
 
     def test_identities_hold_by_brute_force_on_generated(self):
         for alg in rand_algebras(40):

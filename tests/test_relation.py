@@ -1,6 +1,8 @@
 """Relations, projections, invariance, subpower generation, instances."""
 
+import collections
 import itertools
+import math
 import random
 
 import pytest
@@ -20,13 +22,16 @@ from cd3csp import (
     is_invariant,
     is_subdirect,
     majority_algebra,
+    product_algebra,
     project,
     satisfies,
+    subuniverse_closure,
     switch_algebra,
     validate_invariance,
 )
+import cd3csp.relation as relation_mod
 
-from tests.conftest import EQ2, FULL2, NEQ2, brute_invariant, mk_instance
+from tests.conftest import EQ2, FULL2, NEQ2, brute_invariant, mk_instance, planted_instance
 
 
 def with_extra_ops(alg, rng):
@@ -46,6 +51,42 @@ def random_tuples(rng, sizes, expected=16):
     cells = list(itertools.product(*(range(s) for s in sizes)))
     keep = min(0.5, expected / len(cells))
     return tuple(t for t in cells if rng.random() < keep)
+
+
+def random_product(rng, bases, max_tuples=20):
+    """A relation that is the product of two or three factors, with its
+    coordinates shuffled, and its coordinate algebras; None when the
+    product would hold more than max_tuples tuples.
+
+    Each factor spans one or two coordinates, each over an algebra drawn
+    from bases, all with extra operations or none.  A factor closes two
+    random tuples under the operations, so it is invariant, except that
+    half the time one factor is random tuples, often not invariant.
+    """
+    extra = rng.random() < 0.5
+    factors = []
+    for _ in range(rng.randint(2, 3)):
+        algs = tuple(rng.choice(bases) for _ in range(rng.randint(1, 2)))
+        if extra:
+            algs = tuple(with_extra_ops(a, rng) for a in algs)
+        seeds = [tuple(rng.randrange(a.size) for a in algs) for _ in range(2)]
+        factors.append((algs, generated_subpower(algs, seeds).tuples))
+    if rng.random() < 0.5:
+        i = rng.randrange(len(factors))
+        algs = factors[i][0]
+        tuples = random_tuples(rng, tuple(a.size for a in algs), expected=3)
+        factors[i] = (algs, tuples or ((0,) * len(algs),))
+    if math.prod(len(rows) for _, rows in factors) > max_tuples:
+        return None
+    algs = tuple(a for f_algs, _ in factors for a in f_algs)
+    # coordinate i of the result is coordinate perm[i] of the factors' concatenation
+    perm = list(range(len(algs)))
+    rng.shuffle(perm)
+    tuples = []
+    for rows in itertools.product(*(rows for _, rows in factors)):
+        t = tuple(itertools.chain(*rows))
+        tuples.append(tuple(t[i] for i in perm))
+    return Relation(tuple(algs[i].size for i in perm), tuple(tuples)), tuple(algs[i] for i in perm)
 
 
 class TestRelation:
@@ -94,32 +135,68 @@ class TestInvariance:
 
     def test_matches_brute_checker_on_random_relations(self, dd2, dd2sq):
         rng = random.Random(23)
-        agree_true = agree_false = 0
-        for _ in range(90):
+        verdicts = collections.Counter()
+        for _ in range(150):
             arity = rng.randint(1, 4)
-            shape = rng.choice(("generated", "mixed sizes", "extra ops"))
-            if shape == "mixed sizes":
-                algs = tuple(rng.choice((dd2, dd2sq)) for _ in range(arity))
-            else:
-                alg = gen_cd3_algebra(
-                    GeneratorConfig(
-                        seed=rng.randrange(2**32), domain_size=rng.choice((2, 3))
-                    )
+            shape = rng.choice(("generated", "mixed sizes", "extra ops", "product"))
+            if shape == "product":
+                bases = (dd2, dd2sq) + tuple(
+                    gen_cd3_algebra(GeneratorConfig(seed=rng.randrange(2**32), domain_size=size))
+                    for size in (2, 3)
                 )
-                if shape == "extra ops":
-                    alg = with_extra_ops(alg, rng)
-                algs = (alg,) * arity
-            sizes = tuple(a.size for a in algs)
-            tuples = random_tuples(rng, sizes)
-            if not tuples:
-                continue
-            rel = Relation(sizes, tuples)
+                drawn = random_product(rng, bases)
+                if drawn is None:
+                    continue
+                rel, algs = drawn
+            else:
+                if shape == "mixed sizes":
+                    algs = tuple(rng.choice((dd2, dd2sq)) for _ in range(arity))
+                else:
+                    alg = gen_cd3_algebra(
+                        GeneratorConfig(
+                            seed=rng.randrange(2**32), domain_size=rng.choice((2, 3))
+                        )
+                    )
+                    if shape == "extra ops":
+                        alg = with_extra_ops(alg, rng)
+                    algs = (alg,) * arity
+                sizes = tuple(a.size for a in algs)
+                tuples = random_tuples(rng, sizes)
+                if not tuples:
+                    continue
+                rel = Relation(sizes, tuples)
             got = is_invariant(rel, algs)
             want = brute_invariant(rel, algs)
-            assert got == want, (shape, sizes, tuples)
-            agree_true += want
-            agree_false += not want
-        assert agree_true and agree_false
+            assert got == want, (shape, rel.sizes, rel.tuples)
+            verdicts[shape, want] += 1
+        assert verdicts["product", True] and verdicts["product", False]
+        assert sum(n for (shape, want), n in verdicts.items() if shape != "product" and want)
+        assert sum(n for (shape, want), n in verdicts.items() if shape != "product" and not want)
+
+    def test_large_products_of_generated_algebras(self):
+        # relations of 54, 162 and 54 tuples over a size-9 product algebra,
+        # each the product of its one-coordinate projections; checking every
+        # argument list costs |R|^3 images per ternary operation
+        def gen(seed):
+            return gen_cd3_algebra(GeneratorConfig(seed=seed, domain_size=3))
+
+        alg = product_algebra(gen(0), gen(3))
+        inst = planted_instance(random.Random(0), alg, 5, (3, 3, 2), 1)
+        assert [len(c.rel) for c in inst.constraints] == [54, 162, 54]
+        # a two-element set of the domain that is not a subuniverse
+        bad = next(
+            pair
+            for pair in itertools.combinations(range(alg.size), 2)
+            if subuniverse_closure(alg, pair) != set(pair)
+        )
+        assert not brute_invariant(Relation((alg.size,), tuple((v,) for v in bad)), (alg,))
+        for c in inst.constraints:
+            algs = (alg,) * c.rel.arity
+            assert is_invariant(c.rel, algs)
+            for p in range(c.rel.arity):
+                # the product of the other coordinates' projection with bad
+                swapped = {t[:p] + (v,) + t[p + 1 :] for t in c.rel.tuples for v in bad}
+                assert not is_invariant(Relation(c.rel.sizes, tuple(swapped)), algs)
 
     def test_subdirect(self, dd2):
         assert is_subdirect(Relation((2, 2), NEQ2), (dd2, dd2))
@@ -184,6 +261,8 @@ class TestGeneratedSubpower:
                 is_invariant(Relation((2, 2), ((0, 1),)), algs)
             with pytest.raises(ValueError, match="arities"):
                 is_invariant(Relation.empty((2, 2)), algs)
+            with pytest.raises(ValueError, match="arities"):
+                is_invariant(Relation.full((2, 2)), algs)
 
     def test_seed_validation(self, dd2):
         with pytest.raises(ValueError):
@@ -263,6 +342,34 @@ class TestInstance:
         bad = mk_instance(maj2, [((0, 1, 2), ((0, 0, 1), (0, 1, 0), (1, 0, 0)))])
         with pytest.raises(InvarianceViolation):
             validate_invariance(bad)
+
+    def test_validate_invariance_checks_each_pair_once(self, maj2, dd2, monkeypatch):
+        checked = []
+
+        def spy(rel, algs):
+            checked.append((rel, algs))
+            return is_invariant(rel, algs)
+
+        monkeypatch.setattr(relation_mod, "is_invariant", spy)
+        inst = Instance(
+            Signature((maj2, maj2, maj2, dd2)),
+            tuple(
+                Constraint(scope, Relation((2, 2), tuples))
+                for scope, tuples in (
+                    ((0, 1), EQ2),
+                    ((1, 2), EQ2),
+                    ((0, 3), FULL2),
+                    ((1, 2), FULL2),
+                    ((2, 3), FULL2),
+                )
+            ),
+        )
+        validate_invariance(inst)
+        assert checked == [
+            (Relation((2, 2), EQ2), (maj2, maj2)),
+            (Relation((2, 2), FULL2), (maj2, dd2)),
+            (Relation((2, 2), FULL2), (maj2, maj2)),
+        ]
 
     def test_multi_sorted_domains(self, maj2, dd2):
         # same op names, different tables: legal in one instance

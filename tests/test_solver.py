@@ -45,7 +45,7 @@ from cd3csp import (
 )
 from cd3csp.lemmas import _pool_simple_trivial
 
-from tests.conftest import EQ2, FULL2, NEQ2, brute_solutions, mk_instance
+from tests.conftest import EQ2, FULL2, NEQ2, brute_solutions, mk_instance, planted_instance
 
 IMPL = ((0, 0), (0, 1), (1, 1))
 SWAP = NEQ2
@@ -652,8 +652,18 @@ class TestSolve:
             solve(inst)
 
     def test_rejects_non_invariant_constraint(self, maj2):
-        inst = mk_instance(maj2, [((0, 1, 2), ((0, 0, 1), (0, 1, 0), (1, 0, 0)))])
+        one_in_three = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+        inst = mk_instance(maj2, [((0, 1, 2), one_in_three)])
         with pytest.raises(InvarianceViolation):
+            solve(inst)
+        # one-in-three on coordinates 0, 2, 4 times equality on 1, 3: the
+        # product's only bad factor is one block of its coordinates
+        product = tuple((a, e, b, e, c) for a, b, c in one_in_three for e in (0, 1))
+        inst = mk_instance(maj2, [((0, 1), EQ2), ((0, 1, 2, 3, 4), product)])
+        with pytest.raises(
+            InvarianceViolation,
+            match=r"^constraint on scope \(0, 1, 2, 3, 4\) is not preserved by the domain operations$",
+        ):
             solve(inst)
 
     def test_small_instances_read_top_entry(self, maj2):
@@ -778,19 +788,6 @@ class TestSolve:
         out = solver_mod.solve(inst)
         assert out.fallback
         assert out.solution == (0, 1, 0, 1)
-
-
-def planted_instance(rng, alg, nvars, arities, extra):
-    """Instance whose constraints each close a planted tuple and ``extra``
-    random tuples under the operations."""
-    planted = [rng.randrange(alg.size) for _ in range(nvars)]
-    constraints = []
-    for arity in arities:
-        scope = tuple(sorted(rng.sample(range(nvars), arity)))
-        seeds = [tuple(planted[v] for v in scope)]
-        seeds += [tuple(rng.randrange(alg.size) for _ in scope) for _ in range(extra)]
-        constraints.append(Constraint(scope, generated_subpower((alg,) * arity, seeds)))
-    return Instance(Signature((alg,) * nvars), tuple(constraints))
 
 
 # Solutions recorded with the implementation that chose the reduction
