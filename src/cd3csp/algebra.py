@@ -15,7 +15,7 @@ never stored.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     Cd3Violation,
@@ -140,8 +140,11 @@ class Algebra:
 class Cd3Report:
     """Outcome of the chain-identity check; one witness per failed identity."""
 
-    ok: bool
-    failures: tuple[tuple[str, tuple[int, int, int]], ...] = field(default=())
+    failures: tuple[tuple[str, tuple[int, int, int]], ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 def check_cd3(alg: Algebra) -> Cd3Report:
@@ -170,7 +173,7 @@ def check_cd3(alg: Algebra) -> Cd3Report:
         witness = next(bad_cells, None)
         if witness is not None:
             failures.append((label, witness))
-    return Cd3Report(ok=not failures, failures=tuple(failures))
+    return Cd3Report(tuple(failures))
 
 
 def require_cd3(alg: Algebra) -> None:

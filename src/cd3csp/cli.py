@@ -148,20 +148,26 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.set_defaults(handler=cmd_check_algebra)
 
-    sp = sub.add_parser("gen-algebra", help="draw a random algebra satisfying the identities")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--size", type=int, default=2)
+    # the drawing flags: an algebra's seed and size, and an instance's shape
+    algebra_flags = argparse.ArgumentParser(add_help=False)
+    algebra_flags.add_argument("--seed", type=int, default=0)
+    algebra_flags.add_argument("--size", type=int, default=2)
+    instance_flags = argparse.ArgumentParser(add_help=False, parents=[algebra_flags])
+    instance_flags.add_argument("--vars", type=int, default=4)
+    instance_flags.add_argument("--constraints", type=int, default=4)
+    instance_flags.add_argument("--max-arity", type=int, default=3)
+    instance_flags.add_argument("--subpower-seeds", type=int, default=3)
+
+    sp = sub.add_parser(
+        "gen-algebra", parents=[algebra_flags], help="draw a random algebra satisfying the identities"
+    )
     sp.add_argument("-o", "--output")
     sp.set_defaults(handler=cmd_gen_algebra)
 
-    sp = sub.add_parser("gen-instance", help="draw a random instance with invariant constraints")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--size", type=int, default=2)
+    sp = sub.add_parser(
+        "gen-instance", parents=[instance_flags], help="draw a random instance with invariant constraints"
+    )
     sp.add_argument("--algebra", help="use this algebra file instead of drawing one")
-    sp.add_argument("--vars", type=int, default=4)
-    sp.add_argument("--constraints", type=int, default=4)
-    sp.add_argument("--max-arity", type=int, default=3)
-    sp.add_argument("--subpower-seeds", type=int, default=3)
     sp.add_argument("-o", "--output")
     sp.set_defaults(handler=cmd_gen_instance)
 
@@ -180,14 +186,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.set_defaults(handler=cmd_oracle)
 
-    sp = sub.add_parser("compare", help="cross-check the pipeline against the oracle on random instances")
+    sp = sub.add_parser(
+        "compare",
+        parents=[instance_flags],
+        help="cross-check the pipeline against the oracle on random instances",
+    )
     sp.add_argument("--trials", type=int, default=20)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--size", type=int, default=2)
-    sp.add_argument("--vars", type=int, default=4)
-    sp.add_argument("--constraints", type=int, default=4)
-    sp.add_argument("--max-arity", type=int, default=3)
-    sp.add_argument("--subpower-seeds", type=int, default=3)
     sp.set_defaults(handler=cmd_compare)
 
     sp = sub.add_parser("lemma-suite", help="run one or all structural property suites")

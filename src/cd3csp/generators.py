@@ -28,8 +28,10 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.domain_size < 1:
             raise ValueError("domain_size must be positive")
-        if self.num_vars < 1 or self.num_constraints < 0:
+        if self.num_vars < 1:
             raise ValueError("need at least one variable")
+        if self.num_constraints < 0:
+            raise ValueError("num_constraints must not be negative")
         if not (1 <= self.max_arity <= self.num_vars):
             raise ValueError("max_arity must lie in 1..num_vars")
         if self.subpower_seeds < 1:

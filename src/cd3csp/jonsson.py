@@ -149,20 +149,15 @@ def _binary_shape(rel: Relation) -> str | tuple[int, ...] | None:
     return tuple(back) if len(set(back)) == na else None
 
 
-@dataclass(frozen=True)
-class BinaryClassification:
-    kind: str  # "full" or "hom_graph"
-    hom: tuple[int, ...] | None = None
-
-
-def classify_binary(rel: Relation, alg_a: Algebra, alg_b: Algebra) -> BinaryClassification:
+def classify_binary(rel: Relation, alg_a: Algebra, alg_b: Algebra) -> str | tuple[int, ...]:
     """Shape of a subdirect invariant relation under a simple ideal-free left factor.
 
-    Either the full product, or the graph of an onto homomorphism from the
-    right factor to the left one, as read by _binary_shape (a subdirect
-    graph is onto).  The graph of a total map is closed under an operation
-    exactly when the map commutes with it, so the invariance check already
-    makes the map a homomorphism.  Any other shape raises LemmaViolation.
+    Either "full" for the full product, or the onto homomorphism from the
+    right factor to the left one whose graph the relation is, as read by
+    _binary_shape (a subdirect graph is onto).  The graph of a total map is
+    closed under an operation exactly when the map commutes with it, so the
+    invariance check already makes the map a homomorphism.  Any other shape
+    raises LemmaViolation.
     """
     if rel.arity != 2 or rel.sizes != (alg_a.size, alg_b.size):
         raise ValueError("relation shape does not match the two algebras")
@@ -175,22 +170,23 @@ def classify_binary(rel: Relation, alg_a: Algebra, alg_b: Algebra) -> BinaryClas
     if not is_invariant(rel, (alg_a, alg_b)):
         raise InvarianceViolation("classification needs an invariant relation")
 
-    hom = _binary_shape(rel)
-    if hom == "full":
-        return BinaryClassification("full")
-    if hom is None:
+    shape = _binary_shape(rel)
+    if shape is None:
         raise LemmaViolation(
             "relation is neither full nor functional: a right element has two left matches"
         )
-    return BinaryClassification("hom_graph", hom)
+    return shape
 
 
 @dataclass(frozen=True)
 class IdealReduction:
     """Ideal-restricted entry relations on all level-size variable sets."""
 
-    level: int
     lamj: dict
+
+    @property
+    def level(self) -> int:
+        return len(next(iter(self.lamj)))
 
 
 def build_lambda_J(
@@ -257,7 +253,7 @@ def build_lambda_J(
                     f"entry on {I} projects onto {seen} at the coordinate, expected {set(ideal)}"
                 )
     _check_agreement(lamj)
-    return IdealReduction(level, lamj)
+    return IdealReduction(lamj)
 
 
 def _check_agreement(lamj: dict) -> None:

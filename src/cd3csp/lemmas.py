@@ -2,9 +2,11 @@
 
 Each suite generates a stream of seeded random (or exhaustively enumerated)
 objects and checks one structural guarantee against an independent
-reformulation, raising LemmaViolation on the first counterexample.  The
-suites back both the ``lemma-suite`` CLI subcommand and the acceptance
-tests.
+reformulation, raising LemmaViolation on the first counterexample.  A
+suite is a draw plus a check on one shared harness: _draw_loop draws until
+it has the cases, and the subdirect draw, the (coordinate, ideal) list and
+the binary enumeration are shared pieces.  The suites back both the
+``lemma-suite`` CLI subcommand and the acceptance tests.
 """
 
 from __future__ import annotations
@@ -74,17 +76,36 @@ def _fail(name, message):
     raise LemmaViolation(f"{name}: {message}")
 
 
+def _draw_loop(name, trials, budget, exhausted, draw, check) -> SuiteReport:
+    """Check ``trials`` drawn cases: draw() gives a case or None to skip the
+    candidate, check(case) raises on a counterexample and returns its number
+    of checks.  Fails with ``exhausted`` after ``budget * trials`` candidates."""
+
+    done = checks = attempts = 0
+    while done < trials:
+        attempts += 1
+        if attempts > budget * trials:
+            _fail(name, exhausted)
+        case = draw()
+        if case is not None:
+            checks += check(case)
+            done += 1
+    return SuiteReport(name, done, checks, f"{attempts} candidates drawn")
+
+
 def _rand_algebra(rng, sizes=(2, 3)):
     size = sizes[rng.randrange(len(sizes))]
     return gen_cd3_algebra(GeneratorConfig(seed=rng.randrange(2**32), domain_size=size))
 
 
-def _pool_simple_trivial(seed, seed_count, sizes=(2, 3), cap=6):
-    """Distinct simple Jonsson-trivial algebras found by scanning generator seeds.
+def _pool_simple_trivial(seed, seed_count):
+    """Up to six distinct simple Jonsson-trivial algebras of sizes 2 and 3,
+    found by scanning generator seeds.
 
     Scans at least ``seed_count`` seeds per size and keeps scanning (up to a
-    hard limit) until every requested size is represented.
+    hard limit) until both sizes are represented.
     """
+    sizes = (2, 3)
     pool = []
     found_sizes = set()
     offset = 0
@@ -95,13 +116,14 @@ def _pool_simple_trivial(seed, seed_count, sizes=(2, 3), cap=6):
                 pool.append(alg)
                 found_sizes.add(size)
         offset += 1
-    return pool[:cap], offset
+    return pool[:6], offset
 
 
-def _random_subdirect_subpower(rng, algs, extra=2):
-    """A random invariant subset of the product that is onto every coordinate."""
+def _random_subdirect_subpower(rng, algs):
+    """A random invariant subset of the product that is onto every coordinate,
+    generated by one to three random tuples plus one per missing value."""
 
-    seeds = [tuple(rng.randrange(a.size) for a in algs) for _ in range(extra)]
+    seeds = [tuple(rng.randrange(a.size) for a in algs) for _ in range(rng.randint(1, 3))]
     for c, a in enumerate(algs):
         present = {t[c] for t in seeds}
         for v in range(a.size):
@@ -110,6 +132,32 @@ def _random_subdirect_subpower(rng, algs, extra=2):
                 t[c] = v
                 seeds.append(tuple(t))
     return generated_subpower(algs, seeds)
+
+
+def _subdirect_binary_invariant(a, b):
+    """Every subdirect invariant subset of a.size x b.size, by exhaustive
+    subset scan."""
+
+    cells = list(itertools.product(range(a.size), range(b.size)))
+    for mask in range(1, 1 << len(cells)):
+        subset = tuple(cells[i] for i in range(len(cells)) if mask >> i & 1)
+        rel = Relation((a.size, b.size), subset)
+        if is_invariant(rel, (a, b)) and is_subdirect(rel, (a, b)):
+            yield rel
+
+
+def _subdirect_system(inst, k):
+    """The k-minimal subdirect form of inst, or None when propagation empties it."""
+
+    mi = k_minimalize(inst, k)
+    return None if mi.empty_flag else make_subdirect(mi)[0]
+
+
+def _ideal_coords(mi):
+    """(coordinate, ideal) for every domain with a proper ideal, in order."""
+
+    ideals = [(i, some_proper_ideal(d)) for i, d in enumerate(mi.base.domains)]
+    return [(i, ideal) for i, ideal in ideals if ideal is not None]
 
 
 def suite_ideal(trials=100, seed=0) -> SuiteReport:
@@ -167,23 +215,20 @@ def suite_ideal(trials=100, seed=0) -> SuiteReport:
     return SuiteReport("ideal", trials, checks)
 
 
-def suite_distance(trials=200, seed=0, max_attempts_factor=50) -> SuiteReport:
+def suite_distance(trials=200, seed=0) -> SuiteReport:
     """Distance contraction for the derived multiplication on connected relations."""
 
     rng = random.Random(seed)
-    done = 0
-    checks = 0
-    attempts = 0
-    while done < trials:
-        attempts += 1
-        if attempts > max_attempts_factor * trials:
-            _fail("distance", "could not generate enough connected subdirect relations")
+
+    def draw():
         a = _rand_algebra(rng)
         b = _rand_algebra(rng)
-        rel = _random_subdirect_subpower(rng, (a, b), extra=rng.randint(1, 3))
-        prof = distance_profile(rel)
-        if not prof.connected:
-            continue
+        prof = distance_profile(_random_subdirect_subpower(rng, (a, b)))
+        return (a, prof) if prof.connected else None
+
+    def check(case):
+        a, prof = case
+        checks = 0
         # layers must stay reflexive, symmetric and invariant
         for layer in prof.layers:
             for x in range(a.size):
@@ -196,32 +241,19 @@ def suite_distance(trials=200, seed=0, max_attempts_factor=50) -> SuiteReport:
             if not is_invariant(lrel, (a, a)):
                 _fail("distance", "layer is not invariant under the left algebra")
             checks += 1
-        for x in range(a.size):
-            for y in range(a.size):
-                for z in range(a.size):
-                    lhs = prof.distance(mult(a, x, y), z)
-                    bound = max((prof.distance(x, y) + 1) // 2, prof.distance(y, z))
-                    if lhs > bound:
-                        _fail(
-                            "distance",
-                            f"d({x}*{y},{z})={lhs} exceeds max(ceil(d({x},{y})/2),d({y},{z}))={bound}",
-                        )
-                    checks += 1
-        done += 1
-    return SuiteReport("distance", done, checks, f"{attempts} candidates drawn")
+        for x, y, z in itertools.product(range(a.size), repeat=3):
+            lhs = prof.distance(mult(a, x, y), z)
+            bound = max((prof.distance(x, y) + 1) // 2, prof.distance(y, z))
+            if lhs > bound:
+                _fail(
+                    "distance",
+                    f"d({x}*{y},{z})={lhs} exceeds max(ceil(d({x},{y})/2),d({y},{z}))={bound}",
+                )
+            checks += 1
+        return checks
 
-
-def _enumerate_binary_invariant(a, b):
-    """All invariant subsets of a.size x b.size by exhaustive subset scan."""
-
-    cells = list(itertools.product(range(a.size), range(b.size)))
-    out = []
-    for mask in range(1, 1 << len(cells)):
-        subset = tuple(cells[i] for i in range(len(cells)) if mask >> i & 1)
-        rel = Relation((a.size, b.size), subset)
-        if is_invariant(rel, (a, b)):
-            out.append(rel)
-    return out
+    exhausted = "could not generate enough connected subdirect relations"
+    return _draw_loop("distance", trials, 50, exhausted, draw, check)
 
 
 def suite_connected_simple(trials=20, seed=0) -> SuiteReport:
@@ -236,34 +268,30 @@ def suite_connected_simple(trials=20, seed=0) -> SuiteReport:
     if not pool:
         _fail("connected-simple", "no simple Jonsson-trivial algebras found in the seed scan")
     cases = 0
-    checks = 0
     kinds = {"full": 0, "hom_graph": 0}
-    for a in pool:
-        for b in pool:
-            for rel in _enumerate_binary_invariant(a, b):
-                if not is_subdirect(rel, (a, b)):
-                    continue
-                cases += 1
-                cls = classify_binary(rel, a, b)
-                kinds[cls.kind] += 1
-                if cls.kind == "full":
-                    if len(rel) != a.size * b.size:
-                        _fail("connected-simple", "full classification on a non-full relation")
-                else:
-                    seen = {}
-                    for (x, y) in rel.tuples:
-                        if y in seen and seen[y] != x:
-                            _fail("connected-simple", "graph classification on a non-functional relation")
-                        seen[y] = x
-                    if len(seen) != b.size or set(seen.values()) != set(range(a.size)):
-                        _fail("connected-simple", "graph classification is not an onto map on all of B")
-                    if cls.hom is None or tuple(seen[y] for y in range(b.size)) != cls.hom:
-                        _fail("connected-simple", "reported homomorphism disagrees with the relation")
-                checks += 1
+    for a, b in itertools.product(pool, repeat=2):
+        for rel in _subdirect_binary_invariant(a, b):
+            cases += 1
+            shape = classify_binary(rel, a, b)
+            if shape == "full":
+                kinds["full"] += 1
+                if len(rel) != a.size * b.size:
+                    _fail("connected-simple", "full classification on a non-full relation")
+                continue
+            kinds["hom_graph"] += 1
+            seen = {}
+            for (x, y) in rel.tuples:
+                if y in seen and seen[y] != x:
+                    _fail("connected-simple", "graph classification on a non-functional relation")
+                seen[y] = x
+            if len(seen) != b.size or set(seen.values()) != set(range(a.size)):
+                _fail("connected-simple", "graph classification is not an onto map on all of B")
+            if tuple(seen[y] for y in range(b.size)) != shape:
+                _fail("connected-simple", "reported homomorphism disagrees with the relation")
     if kinds["full"] == 0 or kinds["hom_graph"] == 0:
         _fail("connected-simple", f"degenerate coverage: {kinds}")
     detail = f"pool={len(pool)} from {scanned} seeds, kinds={kinds}"
-    return SuiteReport("connected-simple", cases, checks, detail)
+    return SuiteReport("connected-simple", cases, cases, detail)
 
 
 def suite_almost_trivial(trials=30, seed=0) -> SuiteReport:
@@ -277,16 +305,19 @@ def suite_almost_trivial(trials=30, seed=0) -> SuiteReport:
     pool, _ = _pool_simple_trivial(seed, 20)
     if not pool:
         _fail("almost-trivial", "no simple Jonsson-trivial algebras found in the seed scan")
-    cases = 0
-    checks = 0
-    pair_combos = list(itertools.product(pool[:4], repeat=2))
-    for a, b in pair_combos:
-        for rel in _enumerate_binary_invariant(a, b):
-            if not is_subdirect(rel, (a, b)):
-                continue
-            deco = almost_trivial_decomposition(rel)
-            cases += 1
-            checks += 1 + len(deco.classes)
+
+    def check(rel):
+        deco = almost_trivial_decomposition(rel)
+        if frozenset().union(*deco.classes) != frozenset(range(rel.arity)):
+            _fail("almost-trivial", "classes do not partition the coordinates")
+        return 1 + len(deco.classes)
+
+    pairs = [
+        rel
+        for a, b in itertools.product(pool[:4], repeat=2)
+        for rel in _subdirect_binary_invariant(a, b)
+    ]
+    checks = sum(check(rel) for rel in pairs)
     small = next((x for x in pool if x.size == 2), None)
     wide = 0
     while wide < trials:
@@ -295,73 +326,47 @@ def suite_almost_trivial(trials=30, seed=0) -> SuiteReport:
         if m == 4 and small is not None and all(x.size == 3 for x in algs):
             # keep the largest products off the hot path
             algs = algs[:3] + (small,)
-        rel = _random_subdirect_subpower(rng, algs, extra=rng.randint(1, 3))
-        deco = almost_trivial_decomposition(rel)
-        total = frozenset(range(m))
-        if frozenset().union(*deco.classes) != total:
-            _fail("almost-trivial", "classes do not partition the coordinates")
-        cases += 1
-        checks += 1 + len(deco.classes)
+        checks += check(_random_subdirect_subpower(rng, algs))
         wide += 1
-    return SuiteReport("almost-trivial", cases, checks, f"{wide} wide subpowers")
-
-
-def _minimal_subdirect_system(rng, alg, k=3, vars_range=(4, 6), cons_range=(3, 5)):
-    """Draw a random instance and return its nonempty k-minimal subdirect form."""
-
-    cfg = GeneratorConfig(
-        seed=rng.randrange(2**32),
-        domain_size=alg.size,
-        num_vars=rng.randint(*vars_range),
-        num_constraints=rng.randint(*cons_range),
-        max_arity=3,
-        subpower_seeds=rng.randint(2, 4),
-    )
-    inst = gen_instance(alg, cfg)
-    mi = k_minimalize(inst, k)
-    if mi.empty_flag:
-        return None
-    mi, _ = make_subdirect(mi)
-    return mi
+    return SuiteReport("almost-trivial", len(pairs) + wide, checks, f"{wide} wide subpowers")
 
 
 def suite_gamma_j(trials=100, seed=0) -> SuiteReport:
     """Consistency of the ideal-restricted entry family on subdirect systems."""
 
     rng = random.Random(seed)
-    done = 0
-    checks = 0
-    attempts = 0
-    while done < trials:
-        attempts += 1
-        if attempts > 200 * trials:
-            _fail("gamma-j", "could not generate enough systems with a proper ideal")
+
+    def draw():
         alg = _rand_algebra(rng)
         if some_proper_ideal(alg) is None:
-            continue
-        mi = _minimal_subdirect_system(rng, alg)
-        if mi is None or mi.system.nvars < 4:
-            continue
-        doms = mi.base.domains
-        coords = [i for i in range(len(doms)) if some_proper_ideal(doms[i]) is not None]
-        if not coords:
-            continue
-        coord = coords[rng.randrange(len(coords))]
-        ideal = some_proper_ideal(doms[coord])
-        red = build_lambda_J(mi.system, coord, ideal, doms[coord])
-        level = red.level
-        nvars = mi.system.nvars
-        for subset in itertools.combinations(range(nvars), level):
+            return None
+        cfg = GeneratorConfig(
+            seed=rng.randrange(2**32),
+            domain_size=alg.size,
+            num_vars=rng.randint(4, 6),
+            num_constraints=rng.randint(3, 5),
+            max_arity=3,
+            subpower_seeds=rng.randint(2, 4),
+        )
+        mi = _subdirect_system(gen_instance(alg, cfg), 3)
+        if mi is None or mi.system.nvars < 4 or not (ideals := _ideal_coords(mi)):
+            return None
+        return (mi, *ideals[rng.randrange(len(ideals))])
+
+    def check(case):
+        mi, coord, ideal = case
+        red = build_lambda_J(mi.system, coord, ideal, mi.base.domains[coord])
+        level_sets = list(itertools.combinations(range(mi.system.nvars), red.level))
+        for subset in level_sets:
             entry = red.lamj[subset]
             if entry.is_empty:
                 _fail("gamma-j", f"empty restricted entry at {subset}")
             if coord in subset:
                 pos = subset.index(coord)
-                col = {t[pos] for t in entry.tuples}
-                if col != set(ideal):
+                if {t[pos] for t in entry.tuples} != set(ideal):
                     _fail("gamma-j", f"entry at {subset} does not project onto the ideal")
-            checks += 1
-        for s1, s2 in itertools.combinations(itertools.combinations(range(nvars), level), 2):
+        checks = len(level_sets)
+        for s1, s2 in itertools.combinations(level_sets, 2):
             shared = sorted(set(s1) & set(s2))
             if not shared:
                 continue
@@ -370,24 +375,21 @@ def suite_gamma_j(trials=100, seed=0) -> SuiteReport:
             if p1.tuples != p2.tuples:
                 _fail("gamma-j", f"restricted entries at {s1} and {s2} disagree on {shared}")
             checks += 1
-        done += 1
-    return SuiteReport("gamma-j", done, checks, f"{attempts} candidates drawn")
+        return checks
+
+    exhausted = "could not generate enough systems with a proper ideal"
+    return _draw_loop("gamma-j", trials, 200, exhausted, draw, check)
 
 
 def suite_rj(trials=50, seed=0) -> SuiteReport:
     """Constraint reduction at k equal to the squared domain bound."""
 
     rng = random.Random(seed)
-    done = 0
-    checks = 0
-    attempts = 0
-    while done < trials:
-        attempts += 1
-        if attempts > 400 * trials:
-            _fail("rj", "could not generate enough reducible instances")
+
+    def draw():
         alg = gen_cd3_algebra(GeneratorConfig(seed=rng.randrange(2**32), domain_size=2))
         if some_proper_ideal(alg) is None:
-            continue
+            return None
         nvars = rng.randint(5, 6)
         cfg = GeneratorConfig(
             seed=rng.randrange(2**32),
@@ -399,18 +401,17 @@ def suite_rj(trials=50, seed=0) -> SuiteReport:
         )
         inst = gen_instance(alg, cfg)
         if not any(len(c.scope) > 4 for c in inst.constraints):
-            continue
-        mi = k_minimalize(inst, 4)
-        if mi.empty_flag:
-            continue
-        mi, _ = make_subdirect(mi)
+            return None
+        mi = _subdirect_system(inst, 4)
+        if mi is None or not (ideals := _ideal_coords(mi)):
+            return None
+        return (mi, *ideals[0])
+
+    def check(case):
+        mi, coord, ideal = case
         doms = mi.base.domains
-        coords = [i for i in range(len(doms)) if some_proper_ideal(doms[i]) is not None]
-        if not coords:
-            continue
-        coord = coords[0]
-        ideal = some_proper_ideal(doms[coord])
         red = build_lambda_J(mi.system, coord, ideal, doms[coord])
+        checks = 0
         for con in mi.base.constraints:
             algs = tuple(doms[v] for v in con.scope)
             out = reduce_constraint_RJ(con.rel, con.scope, red, algs)
@@ -432,9 +433,9 @@ def suite_rj(trials=50, seed=0) -> SuiteReport:
         restricted, _ = reduce_to_ideal(mi, coord, ideal)
         if not is_k_minimal(effective_instance(restricted), 4):
             _fail("rj", "ideal-restricted system is not k-minimal")
-        checks += 1
-        done += 1
-    return SuiteReport("rj", done, checks, f"{attempts} candidates drawn")
+        return checks + 1
+
+    return _draw_loop("rj", trials, 400, "could not generate enough reducible instances", draw, check)
 
 
 def suite_pullback(trials=25, seed=0) -> SuiteReport:
@@ -443,13 +444,8 @@ def suite_pullback(trials=25, seed=0) -> SuiteReport:
     rng = random.Random(seed)
     base = switch_algebra(2)
     alg = product_algebra(base, base)
-    done = 0
-    checks = 0
-    attempts = 0
-    while done < trials:
-        attempts += 1
-        if attempts > 400 * trials:
-            _fail("pullback", "could not generate enough quotient-reducible instances")
+
+    def draw():
         cfg = GeneratorConfig(
             seed=rng.randrange(2**32),
             domain_size=alg.size,
@@ -458,34 +454,30 @@ def suite_pullback(trials=25, seed=0) -> SuiteReport:
             max_arity=3,
             subpower_seeds=rng.randint(2, 4),
         )
-        inst = gen_instance(alg, cfg)
-        mi = k_minimalize(inst, 3)
-        if mi.empty_flag:
-            continue
-        mi, _ = make_subdirect(mi)
+        mi = _subdirect_system(gen_instance(alg, cfg), 3)
+        if mi is None:
+            return None
         doms = mi.base.domains
         coords = [i for i in range(len(doms)) if doms[i].size > 1 and not is_simple(doms[i])]
         if not coords:
-            continue
-        coord = coords[0]
-        plan, q_mi = quotient_reduce(mi, coord)
+            return None
+        plan, q_mi = quotient_reduce(mi, coords[0])
         q_out = brute_force_solve(effective_instance(q_mi))
-        if q_out.solution is None:
-            continue
-        before = doms[coord].size
-        mi2, maps = pullback(mi, plan, q_out.solution)
+        return None if q_out.solution is None else (mi, plan, q_out.solution)
+
+    def check(case):
+        mi, plan, q_solution = case
+        mi2, maps = pullback(mi, plan, q_solution)
         if mi2.empty_flag:
             _fail("pullback", "pulled-back system is empty")
-        doms2 = mi2.base.domains
-        new_coord_size = len(set(maps[coord]))
-        if new_coord_size >= before:
+        if len(set(maps[plan.coord])) >= mi.base.domains[plan.coord].size:
             _fail("pullback", "coordinate domain did not shrink")
         eff = effective_instance(mi2)
         if not is_k_minimal(eff, 3):
             _fail("pullback", "pulled-back system is not k-minimal")
         # every surviving assignment must solve the original instance
         source = effective_instance(mi)
-        sizes = [d.size for d in doms2]
+        sizes = [d.size for d in mi2.base.domains]
         survivors = 0
         for assign in itertools.product(*(range(s) for s in sizes)):
             if not satisfies(eff, assign):
@@ -496,9 +488,10 @@ def suite_pullback(trials=25, seed=0) -> SuiteReport:
             survivors += 1
         if survivors == 0:
             _fail("pullback", "nonempty pulled-back system has no solutions at this size")
-        checks += 3 + survivors
-        done += 1
-    return SuiteReport("pullback", done, checks, f"{attempts} candidates drawn")
+        return 3 + survivors
+
+    exhausted = "could not generate enough quotient-reducible instances"
+    return _draw_loop("pullback", trials, 400, exhausted, draw, check)
 
 
 SUITES = {

@@ -289,8 +289,8 @@ def quotient_reduce(mi: MinimalizedInstance, coord: int):
             tuple((proj[t[cpos]], t[ipos]) for t in entry.tuples),
         )
         shape = classify_binary(lifted, qalg, doms[i])
-        if shape.kind == "hom_graph":
-            maps[i] = shape.hom
+        if shape != "full":
+            maps[i] = shape
 
     plan = QuotientPlan(coord, maps)
     q_domains = [qalg if i in maps else a for i, a in enumerate(doms)]

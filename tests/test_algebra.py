@@ -157,7 +157,6 @@ class TestChainIdentities:
             ("j1", "j2"),
         )
         assert check_cd3(alg) == Cd3Report(
-            ok=False,
             failures=(
                 ("j1(x,y,x)=x", (1, 2, 1)),
                 ("j2(x,y,x)=x", (2, 1, 2)),

@@ -28,9 +28,9 @@ class TestConfig:
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             GeneratorConfig(seed=0, domain_size=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one variable"):
             GeneratorConfig(seed=0, num_vars=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="num_constraints must not be negative"):
             GeneratorConfig(seed=0, num_constraints=-1)
         with pytest.raises(ValueError):
             GeneratorConfig(seed=0, max_arity=0)
