@@ -196,7 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("lemma-suite", help="run one or all structural property suites")
     sp.add_argument("--which", default="all", choices=sorted(SUITES) + ["all"])
-    sp.add_argument("--trials", type=int)
+    sp.add_argument(
+        "--trials", type=int, help="cases per suite; connected-simple: seeds scanned per size"
+    )
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(handler=cmd_lemma_suite)
 

@@ -323,9 +323,13 @@ def make_subdirect(mi: MinimalizedInstance):
     """Restrict every domain to its unary entry.
 
     Returns (instance, maps) where maps[i] sends new element indices of
-    variable i back to the elements they came from.  The system stays
-    k-minimal: renaming elements is a per-variable bijection.  A domain
-    whose unary entry is all of it keeps its algebra and an identity map.
+    variable i back to the elements they came from, restrict's
+    order-preserving injection.  The level entries and wide constraints
+    are relabelled through the inverse maps; a relation whose variables
+    all keep their domains is reused.  Relabelling per variable commutes
+    with projection, so the system stays k-minimal and derives its lower
+    entries.  A domain whose unary entry is all of it keeps its algebra
+    and an identity map.
     """
     if mi.empty_flag:
         raise EmptyDomain("cannot make an emptied system subdirect")
@@ -345,32 +349,21 @@ def make_subdirect(mi: MinimalizedInstance):
         if len(values[i]) < doms[i].size:
             new_doms[i], maps[i] = restrict(doms[i], values[i])
             index[i] = {old: new for new, old in enumerate(maps[i])}
-    return _relabel(mi, new_doms, index), maps
-
-
-def _relabel(mi: MinimalizedInstance, domains, index) -> MinimalizedInstance:
-    """mi's level entries and wide constraints with every value relabelled.
-
-    index[v] sends variable v's old labels to labels of domains[v]; None
-    keeps them.  A relation whose variables all keep their labels is
-    reused.  Relabelling per variable commutes with projection, so the
-    image of a k-minimal system is k-minimal and derives its lower entries.
-    """
 
     def remap(rel: Relation, scope) -> Relation:
         if all(index[v] is None for v in scope):
             return rel
         fs = [range(s) if index[v] is None else index[v] for s, v in zip(rel.sizes, scope)]
         mapped = tuple(tuple(f[x] for f, x in zip(fs, t)) for t in rel.tuples)
-        return Relation(tuple(domains[v].size for v in scope), mapped)
+        return Relation(tuple(new_doms[v].size for v in scope), mapped)
 
     base = Instance(
-        Signature(tuple(domains)),
+        Signature(tuple(new_doms)),
         tuple(Constraint(c.scope, remap(c.rel, c.scope)) for c in mi.base.constraints),
         mi.base.k,
     )
     entries = {I: remap(mi.system.entries[I], I) for I in mi.system.level_sets()}
-    return MinimalizedInstance(base, KSystem(mi.system.k, mi.system.nvars, entries))
+    return MinimalizedInstance(base, KSystem(mi.system.k, mi.system.nvars, entries)), maps
 
 
 def _from_level(mi: MinimalizedInstance, level_entries: dict, wide) -> MinimalizedInstance:

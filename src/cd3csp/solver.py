@@ -3,16 +3,15 @@
 The solver validates and propagates the input to a k-minimal fixpoint
 once, then shrinks domains until the system is directly readable: restrict
 a domain toward a proper ideal whenever one exists, otherwise split a
-non-simple domain through a maximal congruence, reduce and assemble the
-image k-system with the same loop and pull one solution class back.  Each
-step builds its smaller k-system directly, checked, with no propagation.
-Once every domain is simple (or one-element) with no proper ideal, the
-pairwise entries decompose into bijection graphs and full products, and a
-lexicographically least assignment is assembled classwise.  Every shape
-the theory guarantees is asserted, and a failed assertion raises
-LemmaViolation.  Only the top-level assembly falls back to exhaustive
-search, with a diagnostics flag on the outcome; an assembly inside a
-quotient split raises.
+non-simple domain through a maximal congruence and restrict the split
+coordinates to one congruence class.  Each step builds its smaller
+k-system directly from the one before, checked, with no propagation and
+no nested solve.  Once every domain is simple (or one-element) with no
+proper ideal, the pairwise entries decompose into bijection graphs and
+full products, and a lexicographically least assignment is assembled
+classwise.  Every shape the theory guarantees is asserted, and a failed
+assertion raises LemmaViolation.  Only the final assembly falls back to
+exhaustive search, with a diagnostics flag on the outcome.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .algebra import (
 from .consistency import (
     MinimalizedInstance,
     _from_level,
-    _relabel,
     k_minimalize,
     make_subdirect,
 )
@@ -73,7 +71,8 @@ class QuotientPlan:
 
     maps has a key for the split coordinate and for every coordinate tied
     to it by a functional pairwise entry, and sends that coordinate's
-    elements onto the split coordinate's quotient labels.
+    elements onto the split coordinate's quotient labels.  Every solution
+    gives all plan coordinates one label; pullback pins one.
     """
 
     coord: int
@@ -253,14 +252,14 @@ def reduce_to_ideal(mi: MinimalizedInstance, coord: int, ideal):
     return shrunk, maps
 
 
-def quotient_reduce(mi: MinimalizedInstance, coord: int):
-    """Split through a maximal congruence on one non-simple domain.
+def quotient_reduce(mi: MinimalizedInstance, coord: int) -> QuotientPlan:
+    """Plan a split through a maximal congruence on one non-simple domain.
 
     Classifies every pairwise entry against the quotient: coordinates tied
     by a functional shape join the split (their kernel is pulled in), the
-    rest stay untouched.  Returns the plan and the quotient system: mi's
-    entries and wide constraints relabelled through the plan's maps, which
-    is again k-minimal (and subdirect when mi is).
+    rest stay untouched.  Raises ValueError when some domain still has a
+    proper ideal or this one has no proper congruence, and LemmaViolation
+    when the quotient is not simple and ideal-free.
     """
     doms = mi.base.sig.domains
     for i, a in enumerate(doms):
@@ -292,40 +291,40 @@ def quotient_reduce(mi: MinimalizedInstance, coord: int):
         if shape != "full":
             maps[i] = shape
 
-    plan = QuotientPlan(coord, maps)
-    q_domains = [qalg if i in maps else a for i, a in enumerate(doms)]
-    return plan, _relabel(mi, q_domains, [maps.get(i) for i in range(len(doms))])
+    return QuotientPlan(coord, maps)
 
 
-def pullback(mi: MinimalizedInstance, plan: QuotientPlan, q_solution):
-    """Restrict the split coordinates to one quotient solution class.
+def pullback(mi: MinimalizedInstance, plan: QuotientPlan, label: int):
+    """Restrict the split coordinates to one congruence class.
 
-    Coordinates outside the plan keep their full domains.  The system is
-    built directly from the filtered level entries and wide constraints,
-    checked to agree on shared variables and to project back onto each
-    other, so it is k-minimal.  On a k-minimal subdirect system they do:
-    - each tuple of a relation gives all plan variables one quotient
-      class, since the plan maps are onto homomorphisms and, with k >= 3,
-      the pair entries of two plan variables agree through coord;
-    - for variables S outside the plan, the relation between the class
+    Each plan variable keeps the elements its plan map sends to label;
+    the other coordinates keep their full domains.  The system is built
+    directly from the filtered level entries and wide constraints, checked
+    to agree on shared variables and to project back onto each other, so
+    it is k-minimal.  On a k-minimal subdirect system they do, whichever
+    class is pinned:
+    - each tuple of a relation gives all plan variables one label, since
+      the plan maps are onto homomorphisms and, with k >= 3, the pair
+      entries of two plan variables agree through coord;
+    - for variables S outside the plan, the relation between the label
       and the values on S is subdirect and invariant with a simple left
       factor A/theta.  Were it not full, its kernel would be a maximal,
       so meet-irreducible, congruence of the entry on S; the variety is
       congruence distributive, so that kernel would lie above one
-      coordinate's projection kernel, and classify_binary would have put
-      that coordinate in the plan.  So the filtered relations agree.
+      coordinate's projection kernel (Jonsson's lemma), and
+      classify_binary would have put that coordinate in the plan.  So
+      every class meets every tuple on S, and the filtered relations
+      agree.
+    The pipeline takes label 0, the class of element 0.
     """
     doms = mi.base.sig.domains
-    q_solution = tuple(q_solution)
-    if len(q_solution) != len(doms):
-        raise ValueError("quotient solution has the wrong number of variables")
     allowed = [
-        frozenset(a for a in d.universe if i not in plan.maps or plan.maps[i][a] == q)
-        for i, (d, q) in enumerate(zip(doms, q_solution))
+        frozenset(a for a in d.universe if i not in plan.maps or plan.maps[i][a] == label)
+        for i, d in enumerate(doms)
     ]
     for i, block in enumerate(allowed):
         if not block:
-            raise ValueError(f"quotient value at {i} selects an empty class")
+            raise ValueError(f"label {label} selects an empty class at {i}")
     if len(allowed[plan.coord]) >= doms[plan.coord].size:
         raise LemmaViolation("pullback did not shrink the split coordinate")
 
@@ -359,12 +358,10 @@ def choose_k(inst: Instance) -> int:
 
 def _reduce_step(mi: MinimalizedInstance):
     """Shrink one domain: onto a proper ideal if any domain has one, else
-    through a quotient split of a non-simple domain.
+    to one congruence class of a non-simple domain.
 
     Returns (system, maps, step name), or None when every domain is simple
-    (or one-element) with no proper ideal.  A quotient split reduces and
-    assembles the quotient system with the same loop, then pulls its
-    solution back.
+    (or one-element) with no proper ideal.
     """
     doms = mi.base.sig.domains
     for i, a in enumerate(doms):
@@ -373,10 +370,7 @@ def _reduce_step(mi: MinimalizedInstance):
             return (*reduce_to_ideal(mi, i, ideal), "ideal restriction")
     for i, a in enumerate(doms):
         if a.size >= 2 and not is_simple(a):
-            plan, q_mi = quotient_reduce(mi, i)
-            q_last, q_maps = _reduce(q_mi)
-            q_sol = tuple(m[x] for m, x in zip(q_maps, base_case_solve(q_last)))
-            return (*pullback(mi, plan, q_sol), "quotient split")
+            return (*pullback(mi, quotient_reduce(mi, i), 0), "quotient split")
     return None
 
 

@@ -176,7 +176,7 @@ def test_criterion_08_quotient_pullback():
     def body():
         return run_suite("pullback", trials=25, seed=0).line()
 
-    _timed(8, "quotient solutions pull back to block restrictions", 30, body)
+    _timed(8, "every congruence class pulls back", 30, body)
 
 
 def test_criterion_09_almost_trivial_decomposition():

@@ -44,13 +44,13 @@ def test_suite_runs_and_counts(name):
 PINNED = {
     "almost-trivial": "almost-trivial: 25 cases, 78 checks (4 wide subpowers)",
     "connected-simple": (
-        "connected-simple: 43 cases, 43 checks "
-        "(pool=6 from 20 seeds, kinds={'full': 36, 'hom_graph': 7})"
+        "connected-simple: 13 cases, 13 checks "
+        "(pool=3 from 5 seeds, kinds={'full': 9, 'hom_graph': 4})"
     ),
     "distance": "distance: 20 cases, 409 checks (20 candidates drawn)",
     "gamma-j": "gamma-j: 8 cases, 975 checks (15 candidates drawn)",
     "ideal": "ideal: 15 cases, 37 checks",
-    "pullback": "pullback: 3 cases, 65 checks (5 candidates drawn)",
+    "pullback": "pullback: 3 cases, 124 checks (5 candidates drawn)",
     "rj": "rj: 4 cases, 32 checks (28 candidates drawn)",
 }
 

@@ -31,6 +31,7 @@ from cd3csp import (
     generated_subpower,
     is_simple,
     k_minimalize,
+    majority_algebra,
     make_subdirect,
     product_algebra,
     project,
@@ -360,66 +361,36 @@ class TestQuotientReduce:
     def test_members_share_the_quotient(self):
         rng = random.Random(71)
         mi, coord = self.find_splittable(rng)
-        plan, q_mi = quotient_reduce(mi, coord)
-        q_inst = effective_instance(q_mi)
+        plan = quotient_reduce(mi, coord)
         assert coord in plan.maps
         doms = mi.base.sig.domains
-        qsize = q_inst.sig.domains[coord].size
-        assert qsize < doms[coord].size
+        qsize = len(set(plan.maps[coord]))
+        assert 2 <= qsize < doms[coord].size
         for i in plan.maps:
-            assert q_inst.sig.domains[i].size == qsize
             assert len(plan.maps[i]) == doms[i].size
             assert set(plan.maps[i]) == set(range(qsize))
-        for i in range(len(doms)):
-            if i not in plan.maps:
-                assert q_inst.sig.domains[i] == doms[i]
 
-    def test_quotient_images_of_solutions_solve_quotient(self):
-        # Draws whose instance admits every assignment select nothing, so the
-        # test keeps drawing until three instances have rejected some.
+    def test_solutions_give_the_plan_one_label(self):
+        # the premise of the pullback argument: every solution sits in one
+        # congruence class.  Draws whose instance admits every assignment
+        # select nothing, so the test keeps drawing until three instances
+        # have rejected some.
         rng = random.Random(73)
         selective = 0
         while selective < 3:
             mi, coord = self.find_splittable(rng)
-            plan, q_mi = quotient_reduce(mi, coord)
-            q_inst = effective_instance(q_mi)
-            doms = mi.base.sig.domains
-            phi = [
-                plan.maps.get(i, tuple(range(doms[i].size)))
-                for i in range(len(doms))
-            ]
-            sizes = [a.size for a in doms]
+            plan = quotient_reduce(mi, coord)
+            sizes = [a.size for a in mi.base.sig.domains]
             eff = effective_instance(mi)
             checked = total = 0
             for assign in itertools.product(*(range(s) for s in sizes)):
                 total += 1
                 if satisfies(eff, assign):
-                    image = tuple(phi[v][x] for v, x in enumerate(assign))
-                    assert satisfies(q_inst, image)
+                    labels = {m[assign[v]] for v, m in plan.maps.items()}
+                    assert len(labels) == 1
                     checked += 1
             assert checked > 0
             selective += checked < total
-
-    def test_quotient_system_is_its_own_fixpoint(self):
-        # the image of a k-minimal subdirect system under per-variable
-        # homomorphisms is k-minimal and subdirect, so nothing is left to
-        # propagate or trim; arity-4 draws carry constraints wider than k=3
-        rng = random.Random(97)
-        wide = 0
-        for max_arity in (3,) * 10 + (4,) * 5:
-            mi, coord = self.find_splittable(rng, max_arity)
-            wide += bool(mi.base.constraints)
-            _, q_mi = quotient_reduce(mi, coord)
-            again = k_minimalize(effective_instance(q_mi), q_mi.system.k)
-            assert not again.empty_flag
-            level = q_mi.system.level
-            assert again.system.level == level
-            for r in range(1, level + 1):
-                for I in itertools.combinations(range(q_mi.system.nvars), r):
-                    assert again.system.entry(I) == q_mi.system.entry(I), I
-            assert again.base.constraints == q_mi.base.constraints
-            assert make_subdirect(q_mi)[0] is q_mi
-        assert wide
 
     def test_refuses_simple_domain(self, dd2):
         inst = mk_instance(dd2, [((0, 1), SWAP), ((1, 2), SWAP), ((2, 3), SWAP)])
@@ -436,80 +407,85 @@ class TestQuotientReduce:
             quotient_reduce(mi, 0)
 
 
+def labels_of(plan):
+    """The quotient labels of a plan's split coordinate."""
+    return sorted(set(plan.maps[plan.coord]))
+
+
 class TestPullback:
     def test_round_trip_solutions(self):
+        # every class pulls back to a system whose solutions all lift
         rng = random.Random(79)
-        done = 0
         helper = TestQuotientReduce()
-        while done < 6:
+        for _ in range(6):
             mi, coord = helper.find_splittable(rng)
-            plan, q_mi = quotient_reduce(mi, coord)
-            q_out = brute_force_solve(effective_instance(q_mi))
-            if q_out.solution is None:
-                continue
+            plan = quotient_reduce(mi, coord)
             before = mi.base.sig.domains[coord].size
-            mi2, maps = pullback(mi, plan, q_out.solution)
-            assert len(set(maps[coord])) < before
-            eff = effective_instance(mi2)
             source = effective_instance(mi)
-            sizes = [a.size for a in eff.sig.domains]
-            lifted_any = False
-            for assign in itertools.product(*(range(s) for s in sizes)):
-                if satisfies(eff, assign):
-                    lifted = tuple(maps[v][x] for v, x in enumerate(assign))
-                    assert satisfies(source, lifted)
-                    lifted_any = True
-            assert lifted_any
-            done += 1
+            for label in labels_of(plan):
+                mi2, maps = pullback(mi, plan, label)
+                assert len(set(maps[coord])) < before
+                assert {plan.maps[coord][x] for x in maps[coord]} == {label}
+                eff = effective_instance(mi2)
+                sizes = [a.size for a in eff.sig.domains]
+                lifted_any = False
+                for assign in itertools.product(*(range(s) for s in sizes)):
+                    if satisfies(eff, assign):
+                        lifted = tuple(maps[v][x] for v, x in enumerate(assign))
+                        assert satisfies(source, lifted)
+                        lifted_any = True
+                assert lifted_any, label
 
-    def split_with_solution(self, rng, max_arity=3):
-        helper = TestQuotientReduce()
-        while True:
-            mi, coord = helper.find_splittable(rng, max_arity)
-            plan, q_mi = quotient_reduce(mi, coord)
-            q_sol = brute_force_solve(effective_instance(q_mi)).solution
-            if q_sol is not None:
-                return mi, plan, q_sol
+    def split(self, rng, max_arity=3):
+        mi, coord = TestQuotientReduce().find_splittable(rng, max_arity)
+        return mi, quotient_reduce(mi, coord)
 
     def test_matches_ride_along_reference(self):
-        # reference: every relation of the system filtered to the chosen
-        # quotient classes and re-minimalized; arity-4 draws carry
-        # constraints wider than k=3
+        # reference: every relation of the system filtered to one class
+        # and re-minimalized, for every class of the split coordinate;
+        # arity-4 draws carry constraints wider than k=3
         rng = random.Random(89)
         wide = 0
         for max_arity in (3,) * 10 + (4,) * 5:
-            mi, plan, q_sol = self.split_with_solution(rng, max_arity)
+            mi, plan = self.split(rng, max_arity)
             wide += bool(mi.base.constraints)
             doms = mi.base.sig.domains
-            allowed = [
-                {a for a in range(d.size) if i not in plan.maps or plan.maps[i][a] == q_sol[i]}
-                for i, d in enumerate(doms)
-            ]
-            constraints = [
-                Constraint(
-                    c.scope,
-                    Relation(
-                        c.rel.sizes,
-                        tuple(
-                            t
-                            for t in c.rel.tuples
-                            if all(x in allowed[v] for v, x in zip(c.scope, t))
+            for label in labels_of(plan):
+                allowed = [
+                    {a for a in range(d.size) if i not in plan.maps or plan.maps[i][a] == label}
+                    for i, d in enumerate(doms)
+                ]
+                constraints = [
+                    Constraint(
+                        c.scope,
+                        Relation(
+                            c.rel.sizes,
+                            tuple(
+                                t
+                                for t in c.rel.tuples
+                                if all(x in allowed[v] for v, x in zip(c.scope, t))
+                            ),
                         ),
-                    ),
+                    )
+                    for c in effective_instance(mi).constraints
+                ]
+                assert_same_result(
+                    pullback(mi, plan, label), reminimalized(mi, constraints)
                 )
-                for c in effective_instance(mi).constraints
-            ]
-            assert_same_result(
-                pullback(mi, plan, q_sol), reminimalized(mi, constraints)
-            )
         assert wide
+
+    def test_refuses_a_label_with_an_empty_class(self):
+        rng = random.Random(127)
+        mi, plan = self.split(rng)
+        with pytest.raises(ValueError, match="empty class"):
+            pullback(mi, plan, len(labels_of(plan)))
 
     def test_raises_on_a_level_entry_that_does_not_agree(self):
         # the pulled-back system is checked, not propagated: thin an entry
         # the split leaves alone and pullback must refuse, not repair it
         rng = random.Random(101)
         while True:
-            mi, plan, q_sol = self.split_with_solution(rng)
+            mi, plan = self.split(rng)
             found = [
                 (I, thin)
                 for I in mi.system.level_sets()
@@ -521,12 +497,12 @@ class TestPullback:
         I, thin = found[0]
         system = dataclasses.replace(mi.system, entries={**mi.system.entries, I: thin})
         with pytest.raises(LemmaViolation, match="disagree"):
-            pullback(dataclasses.replace(mi, system=system), plan, q_sol)
+            pullback(dataclasses.replace(mi, system=system), plan, 0)
 
     def test_raises_on_a_wide_constraint_that_does_not_project_back(self):
         rng = random.Random(103)
         while True:
-            mi, plan, q_sol = self.split_with_solution(rng, max_arity=4)
+            mi, plan = self.split(rng, max_arity=4)
             found = [
                 (n, thin)
                 for n, c in enumerate(mi.base.constraints)
@@ -540,7 +516,43 @@ class TestPullback:
         constraints[n] = Constraint(constraints[n].scope, thin)
         base = dataclasses.replace(mi.base, constraints=tuple(constraints))
         with pytest.raises(LemmaViolation, match="project back"):
-            pullback(dataclasses.replace(mi, base=base), plan, q_sol)
+            pullback(dataclasses.replace(mi, base=base), plan, 0)
+
+
+def quotient_algebra_draws():
+    """Twenty instances of 4-6 variables over each of four non-simple
+    products: switch squared, majority times switch, switch on three
+    elements times switch, and two ideal-free generated two-element
+    algebras.  Half are planted (satisfiable) and half drawn by
+    gen_instance (mostly unsatisfiable)."""
+    sw = switch_algebra(2)
+
+    def gen2(seed):
+        return gen_cd3_algebra(GeneratorConfig(seed=seed, domain_size=2))
+
+    algebras = (
+        product_algebra(sw, sw),
+        product_algebra(majority_algebra(2), sw),
+        product_algebra(switch_algebra(3), sw),
+        product_algebra(gen2(4), gen2(6)),
+    )
+    rng = random.Random(131)
+    for alg in algebras:
+        for n in range(20):
+            nvars = rng.randint(4, 6)
+            if n % 2:
+                cfg = GeneratorConfig(
+                    seed=rng.randrange(2**32),
+                    domain_size=alg.size,
+                    num_vars=nvars,
+                    num_constraints=rng.randint(3, 6),
+                    max_arity=3,
+                    subpower_seeds=rng.randint(1, 3),
+                )
+                yield gen_instance(alg, cfg)
+            else:
+                arities = (3,) * rng.randint(2, 4)
+                yield planted_instance(rng, alg, nvars, arities, rng.randint(1, 3))
 
 
 def without_sole_witness(rel, size):
@@ -596,10 +608,9 @@ class TestLevelEntriesOnly:
     def test_quotient_reduce_and_pullback(self):
         rng = random.Random(109)
         for max_arity in (3,) * 5 + (4,) * 3:
-            mi, plan, q_sol = TestPullback().split_with_solution(rng, max_arity)
-            _, q_mi = quotient_reduce(mi, plan.coord)
-            assert_holds_level_sets(q_mi)
-            assert_holds_level_sets(pullback(mi, plan, q_sol)[0])
+            mi, plan = TestPullback().split(rng, max_arity)
+            for label in labels_of(plan):
+                assert_holds_level_sets(pullback(mi, plan, label)[0])
 
     def test_shrinking_make_subdirect(self):
         rng = random.Random(113)
@@ -778,6 +789,28 @@ class TestSolve:
                     assert satisfies(inst, got.solution)
         assert splits[6] and splits[9]
 
+    def test_agrees_with_oracle_on_algebras_with_quotients(self, monkeypatch):
+        # the generated algebras of compare are simple in practice, so its
+        # draws never split; these products do, some more than once
+        splits = []
+        original = solver_mod.quotient_reduce
+
+        def spy(*args):
+            splits[-1] += 1
+            return original(*args)
+
+        monkeypatch.setattr(solver_mod, "quotient_reduce", spy)
+        verdicts = collections.Counter()
+        for inst in quotient_algebra_draws():
+            splits.append(0)
+            got = solver_mod.solve(inst)
+            assert got.sat == brute_force_solve(inst).sat and not got.fallback
+            if got.sat:
+                assert satisfies(inst, got.solution)
+            verdicts[got.sat] += 1
+        assert verdicts[True] >= 20 and verdicts[False] >= 20
+        assert sum(splits) >= 30 and sum(n >= 2 for n in splits) >= 5
+
     def test_fallback_flag_on_forced_assembly_failure(self, dd2, monkeypatch):
         inst = mk_instance(dd2, [((0, 1), SWAP), ((1, 2), SWAP), ((2, 3), SWAP)])
 
@@ -831,10 +864,11 @@ class TestPinnedOutcomes:
             assert (out.solution, out.certificate, out.fallback) == (solution, None, False), i
 
     def test_one_validation_and_one_solve_per_instance(self, monkeypatch):
-        # quotient splits reduce the image system in place, without a
-        # nested solve that would validate it again
+        # a quotient split pins one congruence class of the one k-system:
+        # no nested solve validates, reduces or assembles an image system
         calls = collections.Counter()
-        for name in ("solve", "validate_invariance", "quotient_reduce"):
+        names = ("solve", "validate_invariance", "quotient_reduce", "_reduce", "base_case_solve")
+        for name in names:
             original = getattr(solver_mod, name)
 
             def spy(*args, _name=name, _original=original, **kwargs):
@@ -847,6 +881,7 @@ class TestPinnedOutcomes:
         assert solver_mod.solve(inst).solution == PINNED_SQUARE[5]
         assert calls["quotient_reduce"] >= 2
         assert calls["solve"] == calls["validate_invariance"] == 1
+        assert calls["_reduce"] == calls["base_case_solve"] == 1
 
     def test_wide_constraints(self):
         for i, solution in enumerate(PINNED_WIDE):
