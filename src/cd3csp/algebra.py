@@ -183,21 +183,32 @@ def require_cd3(alg: Algebra) -> None:
 
 
 def subuniverse_closure(alg: Algebra, seed) -> frozenset[int]:
-    """Least subuniverse containing seed; empty seed closes to the empty set."""
+    """Least subuniverse containing seed; empty seed closes to the empty set.
+
+    Each round applies every operation to all argument lists over the
+    elements found so far, reading its table directly at the row-major
+    indices ((x1*n + x2)*n + ...)*n + xm; the seed is range-checked, so
+    every index lies in range.
+    """
+    n = alg.size
     current = set()
     for x in seed:
-        if not (0 <= x < alg.size):
+        if not (0 <= x < n):
             raise ValueError(f"seed element {x} out of range")
         current.add(x)
-    frontier = list(current)
-    while frontier:
-        frontier = []
+    grew = bool(current)
+    while grew:
+        grew = False
         for _, op in alg.ops:
-            for args in itertools.product(sorted(current), repeat=op.arity):
-                v = op.apply(*args)
-                if v not in current:
-                    current.add(v)
-                    frontier.append(v)
+            elems = list(current)
+            idx = elems
+            for _ in range(op.arity - 1):
+                idx = [i * n + x for i in idx for x in elems]
+            table = op.table
+            new = {table[i] for i in idx} - current
+            if new:
+                current |= new
+                grew = True
     return frozenset(current)
 
 

@@ -26,9 +26,17 @@ from .relation import Relation, is_invariant, is_subdirect
 
 
 def mult(alg: Algebra, x: int, y: int) -> int:
-    """Derived binary product; the two designated ops must agree on it."""
-    a = alg.j1.apply(x, y, y)
-    b = alg.j2.apply(x, y, y)
+    """Derived binary product; the two designated ops must agree on it.
+
+    Both tables are read directly at the row-major index (x*n + y)*n + y
+    of the cell (x, y, y), after a range check of x and y.
+    """
+    n = alg.size
+    if not (0 <= x < n and 0 <= y < n):
+        raise ValueError(f"arguments ({x},{y}) out of range 0..{n - 1}")
+    i = (x * n + y) * n + y
+    a = alg.j1.table[i]
+    b = alg.j2.table[i]
     if a != b:
         raise Cd3Violation(
             f"designated pair disagrees on ({x},{y}): {alg.jonsson[0]}={a}, {alg.jonsson[1]}={b}"

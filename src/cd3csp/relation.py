@@ -170,44 +170,100 @@ def _product_blocks(rel: Relation):
     return blocks
 
 
-def is_invariant(rel: Relation, algs) -> bool:
-    """Whether every stored operation, applied coordinatewise, maps the
-    relation into itself.  One algebra per coordinate, same op names, each
-    operation with one arity across the coordinates.
+def _is_closed(ops, sizes, rows) -> bool:
+    """Whether every (arity m, per-coordinate tables) operation in ops,
+    applied coordinatewise, maps rows^m into rows, a set of tuples in
+    range for sizes."""
+    for m, tables in ops:
+        for chunk in _images(tables, sizes, [rows] * m):
+            if not rows.issuperset(chunk):
+                return False
+    return True
+
+
+def _first_not_invariant(checks):
+    """Index of the first (relation, coordinate algebras) pair in checks
+    whose relation some operation, applied coordinatewise, maps outside
+    itself; None when every relation is invariant.
+
+    Each pair must give one algebra per coordinate, algebras with the same
+    operation names and each operation with one arity across them, and
+    algebra sizes equal to the relation's; else ValueError is raised when
+    that pair is reached, before it is checked.  Pairs are checked in
+    order, and the work is shared between them:
+
+    - the per-coordinate operation tables (_op_tables) are built once per
+      distinct tuple of algebras;
+    - a pair repeating an earlier (relation, algebras) pair is skipped;
+    - a relation is split into its finest product blocks
+      (_product_blocks), and a block's projection is imaged at most once
+      per call for each distinct (block algebras, rows).
 
     A product of subuniverses is a subuniverse, and a projection of one is
     one, so a relation that is the product of its projections onto blocks
-    of coordinates is invariant exactly when each projection is.  The
-    relation is split into its finest such blocks (_product_blocks) and
-    each block's projection is checked on every argument list: an m-ary
+    of coordinates is invariant exactly when each projection is.  Each
+    block's projection is checked on every argument list: an m-ary
     operation costs the sum over blocks B of |pi_B rel|^m images, in place
     of |rel|^m.  Two kinds of block need no check: one that is the full
-    product of its domains, which every operation preserves, and one with a
-    single tuple, which every operation fixes because Algebra requires
-    idempotent operations.  Tuples of a Relation lie in range by
-    construction and the coordinate algebras must match its sizes, so the
-    tables are indexed directly.
+    product of its domains, which every operation preserves, and one with
+    a single tuple, which every operation fixes because Algebra requires
+    idempotent operations.  A block's verdict depends only on its rows and
+    on its coordinates' tables, which its coordinates' algebras fix, so a
+    block already imaged with the same algebras and rows is not imaged
+    again.  Algebras are told apart by identity, since hashing their
+    tables would cost more than most checks; that is sound while the
+    caller keeps every algebra of checks alive for the call, so that no
+    identity is reused.  Tuples of a Relation lie in range by construction
+    and the coordinate algebras must match its sizes, so the tables are
+    indexed directly.
     """
-    algs = tuple(algs)
-    if len(algs) != rel.arity:
-        raise ValueError("one algebra per coordinate required")
-    ops = _op_tables(algs)
-    for a, s in zip(algs, rel.sizes):
-        if a.size != s:
+    tables_of = {}
+    # (algebra identities, row set) of every block and relation found invariant
+    invariant = set()
+    for index, (rel, algs) in enumerate(checks):
+        if len(algs) != rel.arity:
+            raise ValueError("one algebra per coordinate required")
+        ids = tuple(map(id, algs))
+        built = tables_of.get(ids)
+        if built is None:
+            built = tables_of[ids] = (_op_tables(algs), tuple(a.size for a in algs))
+        ops, sizes = built
+        if sizes != rel.sizes:
             raise ValueError("coordinate algebra size does not match relation")
-    if rel.is_empty:
-        return True
-    for block, block_size in _product_blocks(rel):
-        sizes = tuple(rel.sizes[i] for i in block)
-        if block_size == 1 or block_size == math.prod(sizes):
+        key = (ids, rel._set)
+        if rel.is_empty or key in invariant:
             continue
-        rows = {tuple(t[i] for i in block) for t in rel.tuples}
-        for m, tables in ops:
-            block_tables = tuple(tables[i] for i in block)
-            for chunk in _images(block_tables, sizes, [rows] * m):
-                if not rows.issuperset(chunk):
-                    return False
-    return True
+        for block, block_size in _product_blocks(rel):
+            block_sizes = tuple(sizes[i] for i in block)
+            if block_size == 1 or block_size == math.prod(block_sizes):
+                continue
+            if len(block) == rel.arity:
+                rows, block_key = rel._set, key
+            else:
+                rows = frozenset(tuple(t[i] for i in block) for t in rel.tuples)
+                block_key = (tuple(ids[i] for i in block), rows)
+                if block_key in invariant:
+                    continue
+            block_ops = [(m, tuple(tables[i] for i in block)) for m, tables in ops]
+            if not _is_closed(block_ops, block_sizes, rows):
+                return index
+            invariant.add(block_key)
+        invariant.add(key)
+    return None
+
+
+def is_invariant(rel: Relation, algs) -> bool:
+    """Whether every stored operation, applied coordinatewise, maps the
+    relation into itself.  One algebra per coordinate, same op names, each
+    operation with one arity across the coordinates, sizes matching the
+    relation's; else ValueError, also on an empty or full relation.
+
+    The one-pair case of validate_invariance's checker
+    (_first_not_invariant): the relation is checked factor by factor over
+    its finest product blocks, and full or single-tuple blocks need no
+    images.
+    """
+    return _first_not_invariant([(rel, tuple(algs))]) is None
 
 
 def is_subdirect(rel: Relation, algs) -> bool:
@@ -355,23 +411,24 @@ def scope_algebras(inst: Instance, scope) -> tuple[Algebra, ...]:
 def validate_invariance(inst: Instance) -> None:
     """Raise unless every constraint relation is preserved by its domains.
 
-    Each distinct (relation, scope algebras) pair is checked once per call:
-    a constraint repeating a pair already found invariant is skipped, and
-    the first constraint whose pair is not invariant is the one reported.
-    Algebras are told apart by identity, since hashing their tables would
-    cost more than most checks; the instance keeps them alive for the call.
+    One pass of _first_not_invariant over the constraints, so each distinct
+    scope-algebra tuple builds its tables once, a repeated (relation, scope
+    algebras) pair is skipped, and each distinct (block algebras, rows)
+    block is imaged once per call.  Validation stays exact: a ValueError
+    for mismatched operation names, arities or sizes is raised at the
+    first constraint that has them, and InvarianceViolation names the
+    first constraint whose relation is not invariant.  The instance keeps
+    its domain algebras alive for the call, so their identities can key
+    the shared work.
     """
-    checked = set()
-    for c in inst.constraints:
-        algs = scope_algebras(inst, c.scope)
-        key = (c.rel, tuple(map(id, algs)))
-        if key in checked:
-            continue
-        if not is_invariant(c.rel, algs):
-            raise InvarianceViolation(
-                f"constraint on scope {c.scope} is not preserved by the domain operations"
-            )
-        checked.add(key)
+    constraints = inst.constraints
+    bad = _first_not_invariant(
+        (c.rel, scope_algebras(inst, c.scope)) for c in constraints
+    )
+    if bad is not None:
+        raise InvarianceViolation(
+            f"constraint on scope {constraints[bad].scope} is not preserved by the domain operations"
+        )
 
 
 def satisfies(inst: Instance, assignment) -> bool:

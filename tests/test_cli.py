@@ -144,6 +144,20 @@ class TestSolveOracleMinimalize:
         code2, out2, _ = run(capsys, "oracle", str(p))
         assert code2 == 0
 
+    def test_solve_rejects_non_invariant_instance(self, capsys, tmp_path):
+        # the one-in-three relation is not preserved by majority
+        inst = mk_instance(
+            majority_algebra(2), [((0, 1), EQ2), ((0, 1, 2), ((0, 0, 1), (0, 1, 0), (1, 0, 0)))]
+        )
+        p = tmp_path / "not_invariant.json"
+        fileio.write_instance(p, inst)
+        code, out, err = run(capsys, "solve", str(p))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: constraint on scope (0, 1, 2) is not preserved by the domain operations\n"
+        )
+
     def test_solve_rejects_bad_k(self, capsys, sat_file):
         code, _, err = run(capsys, "solve", sat_file, "--k", "2")
         assert code == 2

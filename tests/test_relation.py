@@ -24,6 +24,7 @@ from cd3csp import (
     majority_algebra,
     product_algebra,
     project,
+    restrict,
     satisfies,
     subuniverse_closure,
     switch_algebra,
@@ -344,13 +345,19 @@ class TestInstance:
             validate_invariance(bad)
 
     def test_validate_invariance_checks_each_pair_once(self, maj2, dd2, monkeypatch):
-        checked = []
+        split, imaged = [], []
+        product_blocks, is_closed = relation_mod._product_blocks, relation_mod._is_closed
 
-        def spy(rel, algs):
-            checked.append((rel, algs))
-            return is_invariant(rel, algs)
+        def spy_split(rel):
+            split.append(rel)
+            return product_blocks(rel)
 
-        monkeypatch.setattr(relation_mod, "is_invariant", spy)
+        def spy_image(ops, sizes, rows):
+            imaged.append((ops, rows))
+            return is_closed(ops, sizes, rows)
+
+        monkeypatch.setattr(relation_mod, "_product_blocks", spy_split)
+        monkeypatch.setattr(relation_mod, "_is_closed", spy_image)
         inst = Instance(
             Signature((maj2, maj2, maj2, dd2)),
             tuple(
@@ -365,11 +372,144 @@ class TestInstance:
             ),
         )
         validate_invariance(inst)
-        assert checked == [
-            (Relation((2, 2), EQ2), (maj2, maj2)),
-            (Relation((2, 2), FULL2), (maj2, dd2)),
-            (Relation((2, 2), FULL2), (maj2, maj2)),
+        # the repeated pairs on scopes (1, 2) and (2, 3) are not split again
+        assert split == [
+            Relation((2, 2), EQ2),
+            Relation((2, 2), FULL2),
+            Relation((2, 2), FULL2),
         ]
+        # the full relations split into full one-coordinate blocks, which
+        # need no images; the one (block algebras, rows) left is imaged once
+        maj2_ops = [(op.arity, (op.table, op.table)) for _, op in maj2.ops]
+        assert imaged == [(maj2_ops, frozenset(EQ2))]
+
+    def test_validate_invariance_images_each_block_once(self, maj2, dd2, monkeypatch):
+        imaged = []
+        is_closed = relation_mod._is_closed
+
+        def spy_image(ops, sizes, rows):
+            imaged.append((ops, rows))
+            return is_closed(ops, sizes, rows)
+
+        monkeypatch.setattr(relation_mod, "_is_closed", spy_image)
+        eq_then_free = tuple((a, a, b) for a in range(2) for b in range(2))
+        eq_then_zero = ((0, 0, 0), (1, 1, 0))
+        inst = Instance(
+            Signature((maj2, maj2, maj2, dd2, dd2)),
+            (
+                Constraint((0, 1), Relation((2, 2), EQ2)),
+                Constraint((0, 1, 2), Relation((2, 2, 2), eq_then_free)),
+                Constraint((1, 2, 3), Relation((2, 2, 2), eq_then_zero)),
+                Constraint((3, 4), Relation((2, 2), EQ2)),
+            ),
+        )
+        validate_invariance(inst)
+        # EQ2 over (maj2, maj2) is the whole first relation and a block of
+        # the next two; over (dd2, dd2) it is imaged again
+        maj2_ops = [(op.arity, (op.table, op.table)) for _, op in maj2.ops]
+        dd2_ops = [(op.arity, (op.table, op.table)) for _, op in dd2.ops]
+        assert imaged == [(maj2_ops, frozenset(EQ2)), (dd2_ops, frozenset(EQ2))]
+
+    def test_shared_rows_are_imaged_per_algebra(self, maj2, dd2):
+        # preserved by majority, not by the switch algebra's operations
+        rows = ((0, 0), (0, 1), (1, 0))
+        assert brute_invariant(Relation((2, 2), rows), (maj2, maj2))
+        assert not brute_invariant(Relation((2, 2), rows), (dd2, dd2))
+        # the same rows as a block beside a free third coordinate
+        with_free = tuple(t + (c,) for t in rows for c in range(2))
+        for tuples in (rows, with_free):
+            arity = len(tuples[0])
+            inst = Instance(
+                Signature((maj2,) * arity + (dd2,) * arity),
+                (
+                    Constraint(tuple(range(arity)), Relation((2,) * arity, tuples)),
+                    Constraint(tuple(range(arity, 2 * arity)), Relation((2,) * arity, tuples)),
+                ),
+            )
+            scope = tuple(range(arity, 2 * arity))
+            with pytest.raises(InvarianceViolation) as caught:
+                validate_invariance(inst)
+            assert str(caught.value).startswith(f"constraint on scope {scope} is not preserved")
+
+    def test_first_failing_constraint_is_named_across_shared_blocks(self, maj2):
+        one_in_three = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+        # EQ2 on the first two coordinates times the one-in-three relation
+        eq_times_oit = tuple((a, a) + t for a in range(2) for t in one_in_three)
+        assert not brute_invariant(Relation((2,) * 5, eq_times_oit), (maj2,) * 5)
+        inst = mk_instance(
+            maj2,
+            [
+                ((0, 1), EQ2),
+                ((0, 1, 2, 3, 4), eq_times_oit),
+                ((2, 3, 4), one_in_three),
+            ],
+        )
+        with pytest.raises(
+            InvarianceViolation, match=r"scope \(0, 1, 2, 3, 4\) is not preserved"
+        ):
+            validate_invariance(inst)
+
+    def test_validate_invariance_matches_brute_force(self):
+        """Instances over generated algebras, their products and their
+        restrictions to subuniverses, with relations reused across scopes:
+        validate_invariance raises exactly when a constraint by constraint
+        brute_invariant loop finds one not invariant, naming that one."""
+        rng = random.Random(19)
+        base = [
+            gen_cd3_algebra(GeneratorConfig(seed=seed, domain_size=size))
+            for seed, size in ((0, 2), (1, 2), (2, 3), (3, 3))
+        ]
+        pool = base + [product_algebra(base[0], base[1]), product_algebra(base[1], base[2])]
+        for alg in list(pool):
+            for pair in itertools.combinations(range(alg.size), 2):
+                sub = subuniverse_closure(alg, pair)
+                if 1 < len(sub) < alg.size:
+                    pool.append(restrict(alg, sub)[0])
+                    break
+        verdicts = collections.Counter()
+        for _ in range(60):
+            if rng.random() < 0.5:
+                # same sizes, so that one relation recurs over other algebras
+                size = rng.choice((2, 3))
+                algs_here = rng.sample([a for a in pool if a.size == size], 2)
+            else:
+                algs_here = rng.sample(pool, 2)
+            domains = tuple(rng.choice(algs_here) for _ in range(rng.randint(3, 6)))
+            rels = {}
+            constraints = []
+            for _ in range(rng.randint(2, 8)):
+                arity = rng.randint(1, 3)
+                scope = tuple(sorted(rng.sample(range(len(domains)), arity)))
+                algs = tuple(domains[v] for v in scope)
+                sizes = tuple(a.size for a in algs)
+                if sizes in rels and rng.random() < 0.5:
+                    rel = rels[sizes]
+                elif rng.random() < 0.5:
+                    seeds = [tuple(rng.randrange(s) for s in sizes) for _ in range(2)]
+                    rel = generated_subpower(algs, seeds)
+                else:
+                    rel = Relation(sizes, random_tuples(rng, sizes, expected=6))
+                if len(rel) > 30:
+                    continue
+                rels[sizes] = rel
+                constraints.append(Constraint(scope, rel))
+            inst = Instance(Signature(domains), tuple(constraints))
+            want = next(
+                (
+                    f"constraint on scope {c.scope} is not preserved by the domain operations"
+                    for c in inst.constraints
+                    if not brute_invariant(c.rel, tuple(domains[v] for v in c.scope))
+                ),
+                None,
+            )
+            try:
+                validate_invariance(inst)
+                got = None
+            except InvarianceViolation as e:
+                got = str(e)
+            assert got == want, inst
+            verdicts[want is None] += 1
+        assert verdicts[True] and verdicts[False]
 
     def test_multi_sorted_domains(self, maj2, dd2):
         # same op names, different tables: legal in one instance
