@@ -95,8 +95,6 @@ def _print_outcome(out) -> int:
             print("UNSAT")
         return 10
     print("SAT " + " ".join(str(v) for v in out.solution))
-    if out.fallback:
-        print("note: assembled by exhaustive fallback")
     return 0
 
 

@@ -32,11 +32,13 @@ from .relation import (
 class KSystem:
     """Entry relations on the sets of at most level = min(k, nvars)
     variables: every level set is stored, smaller ones only in
-    k_minimalize's result.  entry() derives a smaller one not stored as
-    the projection of a level entry holding it; in a k-minimal system
-    every such projection agrees.  The system of an emptied
-    MinimalizedInstance is partial: it stores only the entries its
-    propagation reached, and entry() must not be asked for others."""
+    k_minimalize's result; every system past it (make_subdirect's and
+    each reduction step's) stores exactly its level sets.  entry()
+    derives a smaller one not stored as the projection of a level entry
+    holding it; in a k-minimal system every such projection agrees.  The
+    system of an emptied MinimalizedInstance is partial: it stores only
+    the entries its propagation reached, and entry() must not be asked
+    for others."""
 
     k: int
     nvars: int
@@ -163,10 +165,11 @@ def k_minimalize(inst: Instance, k: int) -> MinimalizedInstance:
     result's base keeps only the merged constraints wider than the level:
     each narrower one was filtered against its own entry to the fixpoint
     and equals it.  A nonempty result stores an entry on every set of at
-    most level variables.  As soon as any relation runs out of tuples the
-    result is emptied: its certificate is the scope that emptied, and its
-    system holds only the entries the worklist reached, each as it stood
-    at that pop; nothing may read other entries of an emptied system.
+    most level variables, and none of them is empty: as soon as any
+    relation runs out of tuples the result is emptied.  Its certificate is
+    the scope that emptied, and its system holds only the entries the
+    worklist reached, each as it stood at that pop; nothing may read other
+    entries of an emptied system.
 
     The worklist is FIFO over (relation, subset) items.  The initial queue
     lists every relation's subsets, base scopes first and then the entries
@@ -329,7 +332,8 @@ def make_subdirect(mi: MinimalizedInstance):
     all keep their domains is reused.  Relabelling per variable commutes
     with projection, so the system stays k-minimal and derives its lower
     entries.  A domain whose unary entry is all of it keeps its algebra
-    and an identity map.
+    and an identity map.  The result stores exactly the level entries,
+    also when no domain shrinks.
     """
     if mi.empty_flag:
         raise EmptyDomain("cannot make an emptied system subdirect")
@@ -341,8 +345,6 @@ def make_subdirect(mi: MinimalizedInstance):
         if not vals:
             raise EmptyDomain(f"variable {i} has no remaining values")
         values.append(vals)
-    if all(len(v) == d.size for v, d in zip(values, doms)):
-        return mi, [tuple(range(d.size)) for d in doms]
 
     new_doms, maps, index = list(doms), values, [None] * n
     for i in range(n):

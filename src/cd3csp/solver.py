@@ -10,8 +10,8 @@ no nested solve.  Once every domain is simple (or one-element) with no
 proper ideal, the pairwise entries decompose into bijection graphs and
 full products, and a lexicographically least assignment is assembled
 classwise.  Every shape the theory guarantees is asserted, and a failed
-assertion raises LemmaViolation.  Only the final assembly falls back to
-exhaustive search, with a diagnostics flag on the outcome.
+assertion raises LemmaViolation out of solve, which has no exhaustive
+fallback: brute_force_solve is only an independent oracle.
 """
 
 from __future__ import annotations
@@ -56,6 +56,12 @@ from .relation import (
 
 @dataclass(frozen=True)
 class SolveOutcome:
+    """A witness (solution) or, for UNSAT, the scope that emptied.
+
+    fallback is always False: solve has no exhaustive fallback.  The field
+    stays because the benchmark harness (perfbench/run.py) reads it.
+    """
+
     solution: tuple[int, ...] | None
     certificate: tuple[int, ...] | None = None
     fallback: bool = False
@@ -122,8 +128,10 @@ def _decompose(sizes, pair) -> AlmostTrivialDecomposition:
     bijection graph when _binary_shape reads a total onto map between
     domains of equal size; the map is inverted to run from i to j.
     Raises LemmaViolation when a pair is neither a bijection graph nor
-    full, when two coordinates of one class are not glued by a bijection,
-    or when two coordinates of different classes are not free.
+    full, or when two coordinates of one class are not glued by a
+    bijection.  Two coordinates of different classes are always free:
+    every pair that is not full is a bijection and gets unioned, so every
+    pair across two classes is full.
     """
     m = len(sizes)
     shapes = {}
@@ -151,14 +159,6 @@ def _decompose(sizes, pair) -> AlmostTrivialDecomposition:
                 raise LemmaViolation(
                     f"coordinates ({i},{j}) fall in one class but are not glued by a bijection"
                 )
-    for ca, cb in itertools.combinations(classes, 2):
-        for i in ca:
-            for j in cb:
-                key = (i, j) if i < j else (j, i)
-                if shapes[key] != "full":
-                    raise LemmaViolation(
-                        f"coordinates {key} fall in different classes but are not free"
-                    )
 
     bijections = {}
     for cls in classes:
@@ -233,10 +233,13 @@ def reduce_to_ideal(mi: MinimalizedInstance, coord: int, ideal):
     """Shrink one domain onto a proper ideal.
 
     Returns (instance, maps), the coordinate's domain landing on the
-    ideal.  build_lambda_J's level entries, checked to agree, and the wide
-    constraints filtered by reduce_constraint_RJ, checked to project back
-    onto them, make a k-minimal system with no propagation.  The filter
-    needs k at least the squared largest domain size, else ValueError.
+    ideal: build_lambda_J raises unless every level set through the
+    coordinate projects onto exactly the ideal, and make_subdirect reads
+    the coordinate's values off one of those sets.  build_lambda_J's level
+    entries, checked to agree, and the wide constraints filtered by
+    reduce_constraint_RJ, checked to project back onto them, make a
+    k-minimal system with no propagation.  The filter needs k at least the
+    squared largest domain size, else ValueError.
     """
     doms = mi.base.sig.domains
     red = build_lambda_J(mi.system, coord, ideal, doms[coord])
@@ -244,12 +247,7 @@ def reduce_to_ideal(mi: MinimalizedInstance, coord: int, ideal):
     for c in mi.base.constraints:
         algs = scope_algebras(mi.base, c.scope)
         wide.append(Constraint(c.scope, reduce_constraint_RJ(c.rel, c.scope, red, algs)))
-    shrunk, maps = make_subdirect(_from_level(mi, red.lamj, wide))
-    if set(maps[coord]) != set(ideal):
-        raise LemmaViolation(
-            f"variable {coord} landed on {set(maps[coord])}, expected {set(ideal)}"
-        )
-    return shrunk, maps
+    return make_subdirect(_from_level(mi, red.lamj, wide))
 
 
 def quotient_reduce(mi: MinimalizedInstance, coord: int) -> QuotientPlan:
@@ -315,7 +313,9 @@ def pullback(mi: MinimalizedInstance, plan: QuotientPlan, label: int):
       classify_binary would have put that coordinate in the plan.  So
       every class meets every tuple on S, and the filtered relations
       agree.
-    The pipeline takes label 0, the class of element 0.
+    The pipeline takes label 0, the class of element 0.  A class that
+    keeps the whole split domain raises LemmaViolation, so every pullback
+    shrinks a domain.
     """
     doms = mi.base.sig.domains
     allowed = [
@@ -360,17 +360,17 @@ def _reduce_step(mi: MinimalizedInstance):
     """Shrink one domain: onto a proper ideal if any domain has one, else
     to one congruence class of a non-simple domain.
 
-    Returns (system, maps, step name), or None when every domain is simple
-    (or one-element) with no proper ideal.
+    Returns (system, maps), or None when every domain is simple (or
+    one-element) with no proper ideal.
     """
     doms = mi.base.sig.domains
     for i, a in enumerate(doms):
         ideal = some_proper_ideal(a)
         if ideal is not None:
-            return (*reduce_to_ideal(mi, i, ideal), "ideal restriction")
+            return reduce_to_ideal(mi, i, ideal)
     for i, a in enumerate(doms):
         if a.size >= 2 and not is_simple(a):
-            return (*pullback(mi, quotient_reduce(mi, i), 0), "quotient split")
+            return pullback(mi, quotient_reduce(mi, i), 0)
     return None
 
 
@@ -378,19 +378,17 @@ def _reduce(mi: MinimalizedInstance):
     """Apply reduction steps until none applies.
 
     Returns (last system, maps), where maps[i] sends the last system's
-    elements of variable i back to mi's.  Raises LemmaViolation when a
-    step fails to shrink the domains.
+    elements of variable i back to mi's.  Every step shrinks a domain, so
+    the loop ends: reduce_to_ideal lands on a proper ideal, and pullback
+    raises unless the split coordinate shrinks.
     """
     total = [tuple(range(a.size)) for a in mi.base.sig.domains]
     while True:
-        total_size = sum(a.size for a in mi.base.sig.domains)
         stepped = _reduce_step(mi)
         if stepped is None:
             return mi, total
-        mi, step, name = stepped
+        mi, step = stepped
         total = _compose_maps(total, step)
-        if sum(a.size for a in mi.base.sig.domains) >= total_size:
-            raise LemmaViolation(f"{name} failed to shrink the instance")
 
 
 def solve(inst: Instance, k: int | None = None) -> SolveOutcome:
@@ -400,16 +398,19 @@ def solve(inst: Instance, k: int | None = None) -> SolveOutcome:
     3 and the squared maximum domain size otherwise.  The reduction regime is derived, not chosen:
     constraints wider than k are filtered tuplewise, which is sound only
     when k is at least the squared maximum domain size, so an instance
-    whose arity exceeds a smaller k is refused with ValueError.
+    whose arity exceeds a smaller k is refused with ValueError.  Any
+    guarantee that fails on the way raises LemmaViolation.
     """
     n = inst.nvars
     if n == 0:
         raise ValueError("instance has no variables")
+    # each algebra once, by identity: hashing its tables costs more than
+    # the check, and the instance keeps its algebras alive meanwhile
     checked = set()
     for i, a in enumerate(inst.sig.domains):
-        if a in checked:
+        if id(a) in checked:
             continue
-        checked.add(a)
+        checked.add(id(a))
         report = check_cd3(a)
         if not report.ok:
             raise NotCd3(f"domain {i} fails the chain identities: {report.failures}")
@@ -431,23 +432,15 @@ def solve(inst: Instance, k: int | None = None) -> SolveOutcome:
         return SolveOutcome(None, certificate=mi.certificate)
     mi, total = make_subdirect(mi)
 
-    def finish(local_sol) -> SolveOutcome:
-        sol = tuple(total[i][x] for i, x in enumerate(local_sol))
-        if not satisfies(inst, sol):
-            raise LemmaViolation("assembled solution fails an original constraint")
-        return SolveOutcome(sol)
-
     if n <= k:
-        # at the fixpoint the top entry is exactly the solution set
-        top = mi.system.entry(tuple(range(n)))
-        if top.is_empty:
-            raise LemmaViolation("nonempty system carries an empty top entry")
-        return finish(top.tuples[0])
-
-    mi, step = _reduce(mi)
-    total = _compose_maps(total, step)
-    try:
-        return finish(base_case_solve(mi))
-    except LemmaViolation:
-        fallback = brute_force_solve(inst)
-        return SolveOutcome(fallback.solution, fallback.certificate, fallback=True)
+        # at the fixpoint the top entry is exactly the solution set, and a
+        # nonempty k_minimalize result has no empty entry
+        local_sol = mi.system.entry(tuple(range(n))).tuples[0]
+    else:
+        mi, step = _reduce(mi)
+        total = _compose_maps(total, step)
+        local_sol = base_case_solve(mi)
+    sol = tuple(total[i][x] for i, x in enumerate(local_sol))
+    if not satisfies(inst, sol):
+        raise LemmaViolation("assembled solution fails an original constraint")
+    return SolveOutcome(sol)

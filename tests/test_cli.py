@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from cd3csp import fileio, majority_algebra, switch_algebra
+import cd3csp.solver as solver_mod
+from cd3csp import LemmaViolation, fileio, majority_algebra, switch_algebra
 from cd3csp.cli import main
 
 from tests.conftest import EQ2, NEQ2, mk_instance
@@ -157,6 +158,21 @@ class TestSolveOracleMinimalize:
         assert err == (
             "error: constraint on scope (0, 1, 2) is not preserved by the domain operations\n"
         )
+
+    def test_solve_violation_exit_3(self, capsys, tmp_path, monkeypatch):
+        # four variables with k=3, so solve reaches the base case
+        inst = mk_instance(switch_algebra(2), [((0, 1), NEQ2), ((1, 2), NEQ2), ((2, 3), NEQ2)])
+        p = tmp_path / "chain.json"
+        fileio.write_instance(p, inst)
+
+        def boom(mi):
+            raise LemmaViolation("forced")
+
+        monkeypatch.setattr(solver_mod, "base_case_solve", boom)
+        code, out, err = run(capsys, "solve", str(p))
+        assert code == 3
+        assert out == ""
+        assert err == "violation: forced\n"
 
     def test_solve_rejects_bad_k(self, capsys, sat_file):
         code, _, err = run(capsys, "solve", sat_file, "--k", "2")

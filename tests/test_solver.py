@@ -15,7 +15,9 @@ from cd3csp import (
     GeneratorConfig,
     Instance,
     InvarianceViolation,
+    KSystem,
     LemmaViolation,
+    MinimalizedInstance,
     NotCd3,
     OperationTable,
     Relation,
@@ -150,6 +152,17 @@ class TestBaseCase:
         inst = mk_instance(dd2, [((0,), ((1,),))])
         mi = k_minimalize(inst, 3)
         assert base_case_solve(mi) == (1,)
+
+    def test_rejects_class_not_glued_by_a_bijection(self, dd2):
+        # swaps on (0,1) and (1,2) put all three in one class, yet (0,2)
+        # is full; no k-minimal system has these entries
+        swap, full = Relation((2, 2), SWAP), Relation.full((2, 2))
+        system = KSystem(2, 3, {(0, 1): swap, (0, 2): full, (1, 2): swap})
+        mi = MinimalizedInstance(Instance(Signature((dd2,) * 3), ()), system)
+        with pytest.raises(
+            LemmaViolation, match=r"^coordinates \(0,2\) fall in one class but are not glued by a bijection$"
+        ):
+            base_case_solve(mi)
 
     def test_matches_decomposition_of_subdirect_subpowers(self):
         # Coordinates of one drawn class carry relabelled copies of one
@@ -612,17 +625,15 @@ class TestLevelEntriesOnly:
             for label in labels_of(plan):
                 assert_holds_level_sets(pullback(mi, plan, label)[0])
 
-    def test_shrinking_make_subdirect(self):
+    def test_make_subdirect_on_every_draw(self):
+        # whether or not a domain shrinks
         rng = random.Random(113)
         done = 0
         while done < 8:
             mi = k_minimalize(rand_instance(rng), 3)
             if mi.empty_flag:
                 continue
-            shrunk, maps = make_subdirect(mi)
-            if all(len(m) == a.size for m, a in zip(maps, mi.base.sig.domains)):
-                continue
-            assert_holds_level_sets(shrunk)
+            assert_holds_level_sets(make_subdirect(mi)[0])
             done += 1
 
 
@@ -811,16 +822,46 @@ class TestSolve:
         assert verdicts[True] >= 20 and verdicts[False] >= 20
         assert sum(splits) >= 30 and sum(n >= 2 for n in splits) >= 5
 
-    def test_fallback_flag_on_forced_assembly_failure(self, dd2, monkeypatch):
+    def test_assembly_failure_propagates(self, dd2, monkeypatch):
+        # one decision path: a failed guarantee is raised, never answered
+        # by exhaustive search
         inst = mk_instance(dd2, [((0, 1), SWAP), ((1, 2), SWAP), ((2, 3), SWAP)])
+        searched = []
 
         def boom(mi):
             raise LemmaViolation("forced")
 
+        def spy(*args):
+            searched.append(args)
+            return brute_force_solve(*args)
+
         monkeypatch.setattr(solver_mod, "base_case_solve", boom)
-        out = solver_mod.solve(inst)
-        assert out.fallback
-        assert out.solution == (0, 1, 0, 1)
+        monkeypatch.setattr(solver_mod, "brute_force_solve", spy)
+        with pytest.raises(LemmaViolation, match="^forced$"):
+            solver_mod.solve(inst)
+        assert searched == []
+
+    def test_checks_each_domain_algebra_once_by_identity(self, monkeypatch):
+        checked = []
+        original = solver_mod.check_cd3
+
+        def spy(alg):
+            checked.append(alg)
+            return original(alg)
+
+        monkeypatch.setattr(solver_mod, "check_cd3", spy)
+        shared = switch_algebra(2)
+        inst = mk_instance(shared, [((v, v + 1), SWAP) for v in range(9)])
+        assert inst.nvars == 10
+        solver_mod.solve(inst)
+        assert len(checked) == 1 and checked[0] is shared
+
+        checked.clear()
+        a, b = switch_algebra(2), switch_algebra(2)
+        assert a == b and a is not b
+        rel = Relation((2, 2), SWAP)
+        solver_mod.solve(Instance(Signature((a, b)), (Constraint((0, 1), rel),)))
+        assert len(checked) == 2 and checked[0] is a and checked[1] is b
 
 
 # Solutions recorded with the implementation that chose the reduction
