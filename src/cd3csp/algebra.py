@@ -187,17 +187,21 @@ def subuniverse_closure(alg: Algebra, seed) -> frozenset[int]:
 
     Each round applies every operation to all argument lists over the
     elements found so far, reading its table directly at the row-major
-    indices ((x1*n + x2)*n + ...)*n + xm; the seed is range-checked, so
-    every index lies in range.
+    indices ((x1*n + x2)*n + ...)*n + xm; the seed elements must be ints
+    (bools are not) in range, so every index lies in range.  A set that
+    holds the whole universe is closed, so the closure stops as soon as
+    it does.
     """
     n = alg.size
     current = set()
     for x in seed:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValueError(f"seed element {x!r} is not an int")
         if not (0 <= x < n):
             raise ValueError(f"seed element {x} out of range")
         current.add(x)
     grew = bool(current)
-    while grew:
+    while grew and len(current) < n:
         grew = False
         for _, op in alg.ops:
             elems = list(current)
@@ -209,6 +213,8 @@ def subuniverse_closure(alg: Algebra, seed) -> frozenset[int]:
             if new:
                 current |= new
                 grew = True
+                if len(current) == n:
+                    break
     return frozenset(current)
 
 

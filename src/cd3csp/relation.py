@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .algebra import Algebra
+from .algebra import Algebra, subuniverse_closure
 from .errors import InvarianceViolation
 
 
@@ -285,9 +285,20 @@ def generated_subpower(algs, seeds) -> Relation:
     and `old` the ones before, an m-ary operation is applied at each
     position p to old rows before p, new rows at p and all rows after p.
     Every argument list holding a new row is tried exactly once, at its
-    first new position, and no argument list is tried in two rounds, so
-    the whole closure costs at most |result|^m images per m-ary operation.
-    Seeds are range-checked, so the tables are indexed directly.
+    first new position, and no argument list is tried in two rounds.
+
+    The closure stops at an exact bound, the product over coordinates i
+    of |Sg(A_i, seeds_i)|, the subuniverse of the i-th algebra that the
+    seeds' i-th values generate.  Projecting onto a coordinate is a
+    homomorphism, so the closure's i-th projection is that subuniverse;
+    a product of subuniverses is a subuniverse, so the closure lies in
+    their product and is closed once it has as many tuples.  The bound is
+    checked after every chunk of images (one row of a round's first
+    pool), so a closure that fills the product skips the rest of that
+    round and the round that would find nothing new.  Otherwise the whole
+    closure costs at most |result|^m images per m-ary operation.  Seed
+    values must be ints (bools are not) in range, so the tables are
+    indexed directly.
     """
     algs = tuple(algs)
     sizes = tuple(a.size for a in algs)
@@ -299,21 +310,28 @@ def generated_subpower(algs, seeds) -> Relation:
         if len(t) != width:
             raise ValueError(f"seed tuple {t} has wrong arity")
         for v, s in zip(t, sizes):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"seed tuple {t} holds a value that is not an int")
             if not (0 <= v < s):
                 raise ValueError(f"seed tuple {t} out of domain range")
         current.add(t)
+    bound = math.prod(
+        len(subuniverse_closure(a, {t[i] for t in current})) for i, a in enumerate(algs)
+    )
     old, new = [], list(current)
-    while new:
+    while new and len(current) < bound:
         every = old + new
-        images = set()
-        for m, tables in ops:
-            for p in range(m):
-                pools = [old] * p + [new] + [every] * (m - 1 - p)
-                for chunk in _images(tables, sizes, pools):
-                    images.update(chunk)
+        chunks = itertools.chain.from_iterable(
+            _images(tables, sizes, [old] * p + [new] + [every] * (m - 1 - p))
+            for m, tables in ops
+            for p in range(m)
+        )
+        for chunk in chunks:
+            current.update(chunk)
+            if len(current) == bound:
+                break
         old = every
-        new = list(images - current)
-        current.update(new)
+        new = list(current.difference(every))
     return Relation(sizes, tuple(current))
 
 

@@ -101,6 +101,29 @@ def brute_invariant(rel, algs):
     return True
 
 
+def brute_closure(algs, seeds):
+    """Least set holding seeds and closed under the coordinatewise
+    operations, by applying every operation to every argument list over
+    the tuples found so far until nothing new appears."""
+    current = set(map(tuple, seeds))
+    changed = True
+    while changed:
+        changed = False
+        snapshot = sorted(current)
+        for name in algs[0].op_names():
+            tables = [a.op(name) for a in algs]
+            m = tables[0].arity
+            for rows in itertools.product(snapshot, repeat=m):
+                img = tuple(
+                    tables[c].apply(*(rows[i][c] for i in range(m)))
+                    for c in range(len(algs))
+                )
+                if img not in current:
+                    current.add(img)
+                    changed = True
+    return current
+
+
 def brute_solutions(inst):
     """All satisfying assignments by raw product enumeration."""
     sols = []

@@ -32,7 +32,15 @@ from cd3csp import (
 )
 import cd3csp.relation as relation_mod
 
-from tests.conftest import EQ2, FULL2, NEQ2, brute_invariant, mk_instance, planted_instance
+from tests.conftest import (
+    EQ2,
+    FULL2,
+    NEQ2,
+    brute_closure,
+    brute_invariant,
+    mk_instance,
+    planted_instance,
+)
 
 
 def with_extra_ops(alg, rng):
@@ -176,8 +184,8 @@ class TestInvariance:
 
     def test_large_products_of_generated_algebras(self):
         # relations of 54, 162 and 54 tuples over a size-9 product algebra,
-        # each the product of its one-coordinate projections; checking every
-        # argument list costs |R|^3 images per ternary operation
+        # each the product of its one-coordinate projections, so is_invariant
+        # checks them factor by factor and generated_subpower stops at its bound
         def gen(seed):
             return gen_cd3_algebra(GeneratorConfig(seed=seed, domain_size=3))
 
@@ -204,26 +212,85 @@ class TestInvariance:
         assert not is_subdirect(Relation((2, 2), ((0, 0),)), (dd2, dd2))
 
 
-class TestGeneratedSubpower:
-    def naive_closure(self, algs, seeds):
-        current = set(map(tuple, seeds))
-        changed = True
-        while changed:
-            changed = False
-            snapshot = sorted(current)
-            for name in algs[0].op_names():
-                tables = [a.op(name) for a in algs]
-                m = tables[0].arity
-                for rows in itertools.product(snapshot, repeat=m):
-                    img = tuple(
-                        tables[c].apply(*(rows[i][c] for i in range(m)))
-                        for c in range(len(algs))
-                    )
-                    if img not in current:
-                        current.add(img)
-                        changed = True
-        return current
+class ImageSpy:
+    """Stands in for relation._images and records, per call, the lengths
+    of its pools and the number of chunks the caller pulled from it."""
 
+    def __init__(self, monkeypatch):
+        self.calls = []
+        images = relation_mod._images
+
+        def spy(tables, sizes, pools):
+            call = [tuple(map(len, pools)), 0]
+            self.calls.append(call)
+            for chunk in images(tables, sizes, pools):
+                call[1] += 1
+                yield chunk
+
+        monkeypatch.setattr(relation_mod, "_images", spy)
+
+    def last_round(self, arities):
+        """(rows in the first pools, chunks pulled) of the last round of
+        generated_subpower's recorded calls, for operations of these
+        arities, the first at least binary.
+
+        A round makes one call per operation and position, in order, and
+        its first call's pools are new rows then every row; at position p
+        the first pool is the new rows when p = 0 and the old rows after.
+        The last round may stop early, so its rows are counted from its
+        first call, not from the calls made.
+        """
+        per_round = sum(arities)
+        last = self.calls[(len(self.calls) - 1) // per_round * per_round :]
+        new, every = last[0][0][:2]
+        rows = sum(new + (m - 1) * (every - new) for m in arities)
+        return rows, sum(pulled for _, pulled in last)
+
+
+def bound_exit_draws(rng):
+    """(shape, coordinate algebras, seeds) draws, many of whose closures
+    fill the product of their coordinate closures before a round ends."""
+
+    def gen(size):
+        return gen_cd3_algebra(GeneratorConfig(seed=rng.randrange(2**32), domain_size=size))
+
+    switch = switch_algebra(2)
+    switch_sq = product_algebra(switch, switch)
+    # a size-3 algebra beside its restriction to a proper two-element subuniverse
+    sorts = []
+    while len(sorts) < 3:
+        alg = gen(3)
+        pairs = [
+            p for p in itertools.combinations(range(3), 2) if subuniverse_closure(alg, p) == set(p)
+        ]
+        if pairs:
+            sorts.append((alg, restrict(alg, rng.choice(pairs))[0]))
+    draws = []
+    for _ in range(12):
+        base = rng.choice((switch_sq, product_algebra(gen(2), gen(2))))
+        algs = (base,) * rng.randint(1, 2)
+        draws.append(("product", algs))
+        algs = list(rng.choice(sorts)) + [rng.choice(sorts)[0]] * rng.randint(0, 1)
+        rng.shuffle(algs)
+        draws.append(("sorts", tuple(algs)))
+        base = gen(2)
+        algs = tuple(rng.choice((base, switch)) for _ in range(rng.randint(2, 4)))
+        draws.append(("wide", algs))
+    out = []
+    for shape, algs in draws:
+        seeds = [tuple(rng.randrange(a.size) for a in algs) for _ in range(rng.randint(2, 4))]
+        out.append((shape, algs, seeds))
+    # graphs of bijections, whose closures need not be coordinate products
+    for alg in (switch, switch_sq, gen(3), gen(3)):
+        for _ in range(3):
+            perm = list(range(alg.size))
+            rng.shuffle(perm)
+            seeds = [(x, perm[x]) for x in rng.sample(range(alg.size), rng.randint(2, alg.size))]
+            out.append(("graph", (alg, alg), seeds))
+    return out
+
+
+class TestGeneratedSubpower:
     def test_matches_naive_fixpoint(self):
         rng = random.Random(31)
         for _ in range(40):
@@ -241,8 +308,46 @@ class TestGeneratedSubpower:
                 for _ in range(rng.randint(1, 3))
             ]
             got = generated_subpower(algs, seeds)
-            assert set(got.tuples) == self.naive_closure(algs, seeds)
+            assert set(got.tuples) == brute_closure(algs, seeds)
             assert is_invariant(got, algs)
+
+    def test_bound_exit_matches_brute_closure(self, monkeypatch):
+        # each draw is compared with the brute closure; the spy tells which
+        # draws filled the product of their coordinate closures mid-round
+        spy = ImageSpy(monkeypatch)
+        mid_round, not_product = collections.Counter(), collections.Counter()
+        for shape, algs, seeds in bound_exit_draws(random.Random(47)):
+            spy.calls.clear()
+            got = set(generated_subpower(algs, seeds).tuples)
+            assert got == brute_closure(algs, seeds), (shape, seeds)
+            if len(got) < math.prod(len({t[i] for t in got}) for i in range(len(algs))):
+                not_product[shape] += 1
+            elif spy.calls:
+                rows, pulled = spy.last_round([algs[0].op(n).arity for n in algs[0].op_names()])
+                mid_round[shape] += pulled < rows
+        for shape in ("product", "sorts", "wide", "graph"):
+            assert mid_round[shape], shape
+        assert not_product["graph"]
+
+    def test_bound_exit_requests_fewer_images(self, monkeypatch):
+        spy = ImageSpy(monkeypatch)
+        switch = switch_algebra(2)
+        switch_sq = product_algebra(switch, switch)
+        alg = gen_cd3_algebra(GeneratorConfig(seed=0, domain_size=3))
+        # seeds that already are the product of their coordinate closures
+        for algs, seeds in (
+            ((switch, switch), FULL2),
+            ((switch_sq, switch), [(x, 1) for x in range(4)]),
+            ((alg, alg, alg), [(x, 2, 1) for x in range(3)]),
+        ):
+            assert set(generated_subpower(algs, seeds).tuples) == set(seeds)
+            assert spy.calls == []
+        # fills the 9-tuple product in the second round, after its first chunk
+        seeds = [(1, 0), (1, 2), (2, 0)]
+        got = generated_subpower((alg, alg), seeds)
+        assert len(got) == 9 and set(got.tuples) == brute_closure((alg, alg), seeds)
+        rows, pulled = spy.last_round([alg.op(n).arity for n in alg.op_names()])
+        assert pulled < rows
 
     def test_operation_arity_must_agree_across_coordinates(self, dd2):
         unary = Algebra(
@@ -270,6 +375,14 @@ class TestGeneratedSubpower:
             generated_subpower((dd2, dd2), [(0,)])
         with pytest.raises(ValueError):
             generated_subpower((dd2, dd2), [(0, 2)])
+        # values that are not ints, bools included, are rejected up front
+        for bad in (1.0, True, "1", None):
+            with pytest.raises(ValueError, match="not an int"):
+                generated_subpower((dd2,), [(bad,)])
+            with pytest.raises(ValueError, match="not an int"):
+                generated_subpower((dd2, dd2), [(0, 1), (0, bad)])
+            with pytest.raises(ValueError, match="not an int"):
+                subuniverse_closure(dd2, [0, bad])
 
     def test_empty_seed_list(self, dd2):
         assert generated_subpower((dd2, dd2), []).is_empty
