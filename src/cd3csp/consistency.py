@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .algebra import restrict
 from .errors import EmptyDomain
@@ -24,6 +23,8 @@ from .relation import (
     Instance,
     Relation,
     Signature,
+    _positions,
+    _projector,
     project,
 )
 
@@ -82,14 +83,11 @@ class MinimalizedInstance:
         return self.certificate is not None
 
 
-def _positions(scope, subset):
-    return tuple(scope.index(v) for v in subset)
-
-
 def _intersect(a: Relation, b: Relation) -> Relation:
     if a.sizes != b.sizes:
         raise ValueError("cannot intersect relations of different shapes")
-    return Relation(a.sizes, tuple(t for t in a.tuples if t in b))
+    # a filtered subset of a's sorted, unique, in-range tuples stays so
+    return Relation._trusted(a.sizes, tuple(filter(b._set.__contains__, a.tuples)))
 
 
 def _merge_by_scope(pairs) -> dict:
@@ -117,20 +115,22 @@ class _Seeds(dict):
 
     A seed depends only on the merged constraints and the seeds of
     smaller sets, never on the current entries.  base_cover[I] lists the
-    (scope, positions of I) of the merged constraints holding I.
+    (scope, projector onto I) of the merged constraints holding I, and
+    projectors[r] the (size, projector) of the position sets of length r.
     """
 
-    def __init__(self, sizes, merged, base_cover):
+    def __init__(self, sizes, merged, base_cover, projectors):
         super().__init__()
         self.sizes, self.merged, self.base_cover = sizes, merged, base_cover
+        self.projectors = projectors
 
     def __missing__(self, I):
         covers = self.base_cover.get(I)
         if covers:
             # the intersection of the covering constraints' projections
             acc = None
-            for s, pos in covers:
-                p = {tuple(t[q] for q in pos) for t in self.merged[s].tuples}
+            for s, get in covers:
+                p = set(map(get, self.merged[s].tuples))
                 acc = p if acc is None else acc & p
             tuples = tuple(sorted(acc))
         elif len(I) == 1:
@@ -139,16 +139,13 @@ class _Seeds(dict):
             # no covering constraint: the product of the unary seeds,
             # filtered by the seeds on proper subsets
             values = [[x for (x,) in self[(v,)].tuples] for v in I]
-            checks = [
-                (itemgetter(*pos), self[tuple(I[q] for q in pos)])
-                for r in range(2, len(I))
-                for pos in itertools.combinations(range(len(I)), r)
-            ]
-            tuples = tuple(
-                t
-                for t in itertools.product(*values)
-                if all(get(t) in E for get, E in checks)
-            )
+            tuples = list(itertools.product(*values))
+            for r, get in self.projectors[len(I)]:
+                if 2 <= r < len(I):
+                    E = self[get(I)]._set
+                    keep = map(E.__contains__, map(get, tuples))
+                    tuples = list(itertools.compress(tuples, keep))
+            tuples = tuple(tuples)
         rel = self[I] = Relation._trusted(tuple(self.sizes[v] for v in I), tuples)
         return rel
 
@@ -178,6 +175,16 @@ def k_minimalize(inst: Instance, k: int) -> MinimalizedInstance:
     them.  A seed depends only on the merged constraints and the seeds of
     smaller sets, so the pop order and every relation are those of a
     propagation that seeds all entries first.
+
+    Tuples are projected by C-level kernels: each scope length's position
+    sets and their projectors (_projector) are built once per call, a pop
+    maps its projector over the relation's tuples, and a relation whose
+    keys all lie in the entry is left as it is.  Otherwise itertools.compress
+    keeps the tuples whose key lies in the entry, and the entry keeps its
+    tuples found among the keys, both in their stored sorted order.  The
+    kernels decide which tuples stay exactly as a per-tuple loop does and
+    push nothing else, so the pop order and every stored relation are
+    unchanged.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -190,26 +197,32 @@ def k_minimalize(inst: Instance, k: int) -> MinimalizedInstance:
     merged = _merge_by_scope((c.scope, c.rel) for c in inst.constraints)
     base_scopes = sorted(merged, key=lambda s: (len(s), s))
 
-    def positions(cid):
-        # the entries a relation projects onto, by (size, lex), with their
-        # positions in its scope; an entry does not project onto itself
+    # the (size, projector) of every nonempty set of positions in a scope
+    # of length r, by (size, lex), built once per length
+    projectors = _Memo(
+        lambda r: [
+            (len(pos), _projector(pos))
+            for size in range(1, r + 1)
+            for pos in itertools.combinations(range(r), size)
+        ]
+    )
+
+    def projections(cid):
+        # the entries a relation projects onto, by (size, lex), with the
+        # projector onto each; an entry does not project onto itself
         s = cid[1]
         top = len(s) - 1 if cid[0] == "e" else min(level, len(s))
-        return {
-            tuple(s[q] for q in pos): pos
-            for r in range(1, top + 1)
-            for pos in itertools.combinations(range(len(s)), r)
-        }
+        return {get(s): get for size, get in projectors[len(s)] if size <= top}
 
-    subs = _Memo(positions)
+    subs = _Memo(projections)
     base_cover: dict = {}
     for s in base_scopes:
-        for I, pos in subs[("b", s)].items():
-            base_cover.setdefault(I, []).append((s, pos))
+        for I, get in subs[("b", s)].items():
+            base_cover.setdefault(I, []).append((s, get))
 
     # no memo's function refers to its own memo, so nothing built here
     # outlives the call in a reference cycle
-    seeds = _Seeds(sizes, merged, base_cover)
+    seeds = _Seeds(sizes, merged, base_cover, projectors)
 
     # A relation is keyed ("b", scope) for a merged constraint, ("e", I)
     # for the entry on I; an entry starts from its seed when first read.
@@ -287,24 +300,22 @@ def k_minimalize(inst: Instance, k: int) -> MinimalizedInstance:
         R = rels[cid]
         ekey = ("e", I)
         E = rels[ekey]
-        pos = subs[cid][I]
-        # one pass: every kept tuple's projection is in E, so the
+        # the kept tuples' projections are the keys found in E, so the
         # projection set is a subset of E and shrank iff it is smaller
-        keep, proj_set = [], set()
-        for t in R.tuples:
-            key = tuple(t[p] for p in pos)
-            if key in E:
-                keep.append(t)
-                proj_set.add(key)
-        changed_r = len(keep) < len(R.tuples)
+        keys = list(map(subs[cid][I], R.tuples))
+        changed_r = not E._set.issuperset(keys)
         if changed_r:
-            rels[cid] = Relation._trusted(R.sizes, tuple(keep))
+            keep = tuple(itertools.compress(R.tuples, map(E._set.__contains__, keys)))
+            rels[cid] = Relation._trusted(R.sizes, keep)
             if not keep:
                 return finish(cid[1])
+            proj_set = E._set.intersection(keys)
+        else:
+            proj_set = set(keys)
         changed_e = len(proj_set) < len(E)
         if changed_e:
             rels[ekey] = Relation._trusted(
-                E.sizes, tuple(t for t in E.tuples if t in proj_set)
+                E.sizes, tuple(filter(proj_set.__contains__, E.tuples))
             )
             if not proj_set:
                 return finish(I)
@@ -355,9 +366,15 @@ def make_subdirect(mi: MinimalizedInstance):
     def remap(rel: Relation, scope) -> Relation:
         if all(index[v] is None for v in scope):
             return rel
-        fs = [range(s) if index[v] is None else index[v] for s, v in zip(rel.sizes, scope)]
-        mapped = tuple(tuple(f[x] for f, x in zip(fs, t)) for t in rel.tuples)
-        return Relation(tuple(new_doms[v].size for v in scope), mapped)
+        cols = (
+            col if index[v] is None else map(index[v].__getitem__, col)
+            for v, col in zip(scope, zip(*rel.tuples))
+        )
+        # restrict's maps preserve order, so the relabelled tuples stay
+        # sorted, unique and in range
+        return Relation._trusted(
+            tuple(new_doms[v].size for v in scope), tuple(zip(*cols))
+        )
 
     base = Instance(
         Signature(tuple(new_doms)),

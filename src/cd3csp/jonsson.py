@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .algebra import Algebra, is_simple, subuniverse_closure
-from .consistency import KSystem, _positions
+from .consistency import KSystem
 from .errors import (
     Cd3Violation,
     InvarianceViolation,
@@ -22,7 +23,7 @@ from .errors import (
     NotAnIdeal,
     NotSubdirect,
 )
-from .relation import Relation, is_invariant, is_subdirect
+from .relation import Relation, _positions, _projector, is_invariant, is_subdirect
 
 
 def mult(alg: Algebra, x: int, y: int) -> int:
@@ -227,28 +228,28 @@ def build_lambda_J(
             raise ValueError(f"entry system is missing the set {I}")
 
     level_sets = system.level_sets()
+    # drop[c] projects a level set's tuple onto every position but c
+    drop = [_projector([p for p in range(level) if p != c]) for c in range(level)]
     # lamj on a set through the coordinate, projected onto the other
-    # variables: one set per (level-1)-subset not holding the coordinate
+    # variables: one set per (level-1)-subset not holding the coordinate.
+    # Each lamj keeps a filtered subset of its entry's sorted, unique,
+    # in-range tuples, so it is built trusted.
     lamj, allowed = {}, {}
     for I in level_sets:
         if coord in I:
             c = I.index(coord)
             entry = system.entry(I)
-            kept = tuple(t for t in entry.tuples if t[c] in ideal)
-            lamj[I] = Relation(entry.sizes, kept)
-            allowed[I[:c] + I[c + 1 :]] = {t[:c] + t[c + 1 :] for t in kept}
+            column = map(itemgetter(c), entry.tuples)
+            kept = tuple(itertools.compress(entry.tuples, map(ideal.__contains__, column)))
+            lamj[I] = Relation._trusted(entry.sizes, kept)
+            allowed[drop[c](I)] = set(map(drop[c], kept))
     for I in (s for s in level_sets if coord not in s):
         entry = system.entry(I)
-        conditions = [
-            (pos, allowed[tuple(I[p] for p in pos)])
-            for pos in itertools.combinations(range(len(I)), len(I) - 1)
-        ]
-        kept = tuple(
-            t
-            for t in entry.tuples
-            if all(tuple(t[p] for p in pos) in allowed for pos, allowed in conditions)
-        )
-        lamj[I] = Relation(entry.sizes, kept)
+        kept = entry.tuples
+        for get in drop:
+            ok = allowed[get(I)].__contains__
+            kept = tuple(itertools.compress(kept, map(ok, map(get, kept))))
+        lamj[I] = Relation._trusted(entry.sizes, kept)
 
     for I in level_sets:
         if lamj[I].is_empty:
@@ -275,11 +276,15 @@ def _check_agreement(lamj: dict) -> None:
     next, and agreement on those shared variables carries over to S along
     the chain.
     """
+    if not lamj:
+        return
+    size = len(next(iter(lamj)))
+    drops = list(map(_projector, itertools.combinations(range(size), size - 1)))
     seen: dict = {}
     for I, rel in lamj.items():
-        for pos in itertools.combinations(range(len(I)), len(I) - 1):
-            S = tuple(I[p] for p in pos)
-            proj = frozenset(tuple(t[p] for p in pos) for t in rel.tuples)
+        for get in drops:
+            S = get(I)
+            proj = frozenset(map(get, rel.tuples))
             first, first_proj = seen.setdefault(S, (I, proj))
             if proj != first_proj:
                 raise LemmaViolation(
@@ -291,8 +296,7 @@ def _check_projects_back(rel: Relation, scope, lamj: dict) -> None:
     """Raise LemmaViolation unless rel, a relation on scope, projects
     exactly onto lamj's relation on every set of lamj's size in scope."""
     for I in itertools.combinations(scope, len(next(iter(lamj)))):
-        pos = _positions(scope, I)
-        if {tuple(t[p] for p in pos) for t in rel.tuples} != set(lamj[I].tuples):
+        if set(map(_projector(_positions(scope, I)), rel.tuples)) != lamj[I]._set:
             raise LemmaViolation(
                 f"filtered constraint on {scope} does not project back onto a restricted entry"
             )
@@ -319,15 +323,11 @@ def reduce_constraint_RJ(
     scope = tuple(scope)
     if len(scope) != rel.arity:
         raise ValueError("scope length must match relation arity")
-    checks = [
-        (_positions(scope, I), reduction.lamj[I])
-        for I in itertools.combinations(scope, reduction.level)
-    ]
-    kept = tuple(
-        t
-        for t in rel.tuples
-        if all(tuple(t[p] for p in pos) in lam for pos, lam in checks)
-    )
+    kept = rel.tuples
+    for I in itertools.combinations(scope, reduction.level):
+        get = _projector(_positions(scope, I))
+        ok = reduction.lamj[I]._set.__contains__
+        kept = tuple(itertools.compress(kept, map(ok, map(get, kept))))
     out = Relation(rel.sizes, kept)
     if out.is_empty:
         raise LemmaViolation(f"constraint on {scope} emptied under the ideal filter")

@@ -23,7 +23,6 @@ from .algebra import (
     switch_algebra,
 )
 from .consistency import (
-    _positions,
     effective_instance,
     is_k_minimal,
     k_minimalize,
@@ -43,6 +42,7 @@ from .jonsson import (
 )
 from .relation import (
     Relation,
+    _positions,
     generated_subpower,
     is_invariant,
     is_subdirect,

@@ -73,6 +73,24 @@ class Relation:
         return Relation(tuple(sizes), ())
 
 
+def _positions(scope, subset):
+    """The positions in scope of the variables of subset, in subset's order."""
+    return tuple(scope.index(v) for v in subset)
+
+
+def _projector(positions):
+    """A function sending a tuple to the tuple of its values at positions.
+
+    For two or more positions this is operator.itemgetter, so mapping it
+    over a relation's tuples runs at C level; itemgetter of one position
+    returns the bare value, so one position gets a 1-tuple wrapper.
+    """
+    if len(positions) == 1:
+        (q,) = positions
+        return lambda t: (t[q],)
+    return itemgetter(*positions)
+
+
 def project(rel: Relation, positions) -> Relation:
     """Project onto a strictly increasing list of coordinate positions."""
     positions = tuple(positions)
@@ -82,8 +100,9 @@ def project(rel: Relation, positions) -> Relation:
         raise ValueError(f"positions {positions} out of range for arity {rel.arity}")
     if any(a >= b for a, b in zip(positions, positions[1:])):
         raise ValueError(f"positions must be strictly increasing, got {positions}")
-    sizes = tuple(rel.sizes[p] for p in positions)
-    return Relation(sizes, tuple(tuple(t[p] for p in positions) for t in rel.tuples))
+    get = _projector(positions)
+    # sorted and deduplicated here, and in range since rel's tuples are
+    return Relation._trusted(get(rel.sizes), tuple(sorted(set(map(get, rel.tuples)))))
 
 
 def _op_tables(algs):
@@ -113,25 +132,38 @@ def _images(tables, sizes, pools):
     per row of pools[0].
 
     A chunk is an iterator of image tuples in itertools.product order.  It
-    is computed column by column: per coordinate, one list of table indices
-    built from the other pools' columns, then one lookup pass, and the
-    coordinate columns are zipped into tuples.  Every row value must lie in
-    range for its coordinate's table, so that index arithmetic never wraps
-    into a wrong cell.
+    is computed column by column.  With m pools, an argument list's table
+    index at coordinate c (size s) is row[c] * s^(m-1) plus an offset that
+    the later pools fix, so the offsets are built once per call, in
+    product order, and the image column of a first value v is the table's
+    block of s^(m-1) cells from v * s^(m-1) on, read at the offsets by one
+    itemgetter (_projector).  That column is built the first time a row
+    holds v at c and shared by every later row that does, so a call keeps
+    at most |A_c| columns per coordinate, each as long as the product of
+    the later pools.  A chunk zips its row's coordinate columns into
+    tuples, so the chunks, their order and the order within each are those
+    of building every row's indices afresh.  Every row value must lie in
+    range for its coordinate's table, so that a block never reaches into
+    another value's cells.
     """
     first, rest = pools[0], pools[1:]
     if not all(rest):
         return
     rest_cols = [tuple(zip(*pool)) for pool in rest]
-    coords = tuple(zip(range(len(sizes)), sizes, tables))
+    coords = []
+    for c, (s, table) in enumerate(zip(sizes, tables)):
+        offsets = [0]
+        for pool_cols in rest_cols:
+            offsets = [i * s + x for i in offsets for x in pool_cols[c]]
+        coords.append((s ** len(rest), _projector(offsets), table, {}))
     for row in first:
         cols = []
-        for c, s, table in coords:
-            idx = [row[c]]
-            for pool_cols in rest_cols:
-                col = pool_cols[c]
-                idx = [i * s + x for i in idx for x in col]
-            cols.append([table[i] for i in idx])
+        for v, (stride, get, table, columns) in zip(row, coords):
+            col = columns.get(v)
+            if col is None:
+                start = v * stride
+                col = columns[v] = get(table[start : start + stride])
+            cols.append(col)
         yield zip(*cols)
 
 
@@ -234,17 +266,18 @@ def _first_not_invariant(checks):
         if rel.is_empty or key in invariant:
             continue
         for block, block_size in _product_blocks(rel):
-            block_sizes = tuple(sizes[i] for i in block)
+            get = _projector(block)
+            block_sizes = get(sizes)
             if block_size == 1 or block_size == math.prod(block_sizes):
                 continue
             if len(block) == rel.arity:
                 rows, block_key = rel._set, key
             else:
-                rows = frozenset(tuple(t[i] for i in block) for t in rel.tuples)
-                block_key = (tuple(ids[i] for i in block), rows)
+                rows = frozenset(map(get, rel.tuples))
+                block_key = (get(ids), rows)
                 if block_key in invariant:
                     continue
-            block_ops = [(m, tuple(tables[i] for i in block)) for m, tables in ops]
+            block_ops = [(m, get(tables)) for m, tables in ops]
             if not _is_closed(block_ops, block_sizes, rows):
                 return index
             invariant.add(block_key)

@@ -124,6 +124,21 @@ def brute_closure(algs, seeds):
     return current
 
 
+def assert_canonical(rel):
+    """rel is in the form the public Relation constructor gives: sizes a
+    tuple, tuples a tuple of tuples sorted strictly increasing (so unique),
+    each of the right length and in range, and its member set exactly its
+    tuples.  A relation built through Relation._trusted skips those checks,
+    so its builder must guarantee all of this."""
+    assert type(rel.sizes) is tuple and rel.sizes
+    assert type(rel.tuples) is tuple
+    assert all(a < b for a, b in zip(rel.tuples, rel.tuples[1:])), "not sorted or not unique"
+    for t in rel.tuples:
+        assert type(t) is tuple and len(t) == len(rel.sizes), t
+        assert all(0 <= v < s for v, s in zip(t, rel.sizes)), (t, rel.sizes)
+    assert type(rel._set) is frozenset and rel._set == set(rel.tuples)
+
+
 def brute_solutions(inst):
     """All satisfying assignments by raw product enumeration."""
     sols = []

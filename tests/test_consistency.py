@@ -25,8 +25,9 @@ from cd3csp import (
     solve,
     switch_algebra,
 )
+import cd3csp.consistency as consistency_mod
 
-from tests.conftest import EQ2, FULL2, NEQ2, brute_solutions, mk_instance
+from tests.conftest import EQ2, FULL2, NEQ2, assert_canonical, brute_solutions, mk_instance
 
 IMPL = ((0, 0), (0, 1), (1, 1))
 
@@ -72,6 +73,19 @@ class TestPropagation:
         inst = mk_instance(maj2, [((0, 1), IMPL), ((0, 1), NEQ2)])
         mi = k_minimalize(inst, 2)
         assert mi.system.entry((0, 1)).tuples == ((0, 1),)
+
+    def test_intersections_are_canonical(self):
+        rng = random.Random(61)
+        for _ in range(40):
+            sizes = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
+            cells = list(itertools.product(*map(range, sizes)))
+            a, b = (
+                Relation(sizes, tuple(t for t in cells if rng.random() < 0.6))
+                for _ in range(2)
+            )
+            got = consistency_mod._intersect(a, b)
+            assert_canonical(got)
+            assert got == Relation(sizes, tuple(a._set & b._set))
 
     def test_uncovered_variables_get_full_domains(self, maj2):
         inst = Instance(
@@ -218,6 +232,16 @@ class TestPinnedOutcomes:
             assert sum(len(r) for r in mi.system.entries.values()) == tuples, i
             stored = len(mi.system.entries)
             assert stored == ALL_ENTRIES if certificate is None else stored < ALL_ENTRIES, i
+
+
+def test_pinned_draws_store_canonical_relations():
+    # the TestPinnedOutcomes draws, emptied and nonempty results alike
+    for i in range(len(PINNED)):
+        alg = gen_cd3_algebra(GeneratorConfig(seed=300 + i, domain_size=3))
+        cfg = GeneratorConfig(seed=700 + i, domain_size=3, num_vars=10, num_constraints=14)
+        mi = k_minimalize(gen_instance(alg, cfg), 3)
+        for rel in [*mi.system.entries.values(), *(c.rel for c in mi.base.constraints)]:
+            assert_canonical(rel)
 
 
 def _stored(mi):

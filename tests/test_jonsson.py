@@ -40,7 +40,14 @@ from cd3csp import (
 from cd3csp.errors import Cd3Violation
 from cd3csp.jonsson import _check_agreement
 
-from tests.conftest import EQ2, FULL2, NEQ2, brute_least_closed, mk_instance
+from tests.conftest import (
+    EQ2,
+    FULL2,
+    NEQ2,
+    assert_canonical,
+    brute_least_closed,
+    mk_instance,
+)
 
 
 class TestMult:
@@ -365,6 +372,7 @@ class TestReduceConstraintRJ:
             )
             assert out.tuples == manual
             assert not out.is_empty
+            assert_canonical(out)
 
     def test_local_mode_refuses(self, maj2):
         inst = mk_instance(

@@ -37,6 +37,7 @@ from tests.conftest import (
     FULL2,
     NEQ2,
     brute_closure,
+    assert_canonical,
     brute_invariant,
     mk_instance,
     planted_instance,
@@ -121,6 +122,27 @@ class TestRelation:
         r = Relation((2, 2, 2), ((0, 1, 0), (1, 1, 1)))
         assert project(r, (0, 2)).tuples == ((0, 0), (1, 1))
         assert project(r, (1,)).tuples == ((1,),)
+
+    def test_projector_returns_tuples(self):
+        t = (5, 6, 7)
+        assert relation_mod._projector((1,))(t) == (6,)
+        assert relation_mod._projector((0, 2))(t) == (5, 7)
+        assert relation_mod._projector((2, 0, 1))(t) == (7, 5, 6)
+
+    def test_project_is_canonical(self):
+        rng = random.Random(44)
+        for _ in range(60):
+            sizes = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4)))
+            cells = list(itertools.product(*map(range, sizes)))
+            r = Relation(sizes, tuple(t for t in cells if rng.random() < 0.5))
+            r_pos = rng.randint(1, len(sizes))
+            positions = sorted(rng.sample(range(len(sizes)), r_pos))
+            got = project(r, positions)
+            assert_canonical(got)
+            assert got == Relation(
+                tuple(sizes[p] for p in positions),
+                tuple(tuple(t[p] for p in positions) for t in r.tuples),
+            )
 
     def test_project_requires_increasing_positions(self):
         r = Relation.full((2, 2))
@@ -386,6 +408,72 @@ class TestGeneratedSubpower:
 
     def test_empty_seed_list(self, dd2):
         assert generated_subpower((dd2, dd2), []).is_empty
+
+
+def naive_images(ops, pools):
+    """One list of images per row of pools[0], in itertools.product order
+    over the later pools, each cell read through OperationTable.apply; no
+    chunk at all when a later pool is empty.  ops holds one table per
+    coordinate."""
+    if not all(pools[1:]):
+        return []
+    return [
+        [
+            tuple(op.apply(*(args[c] for args in (row, *rest))) for c, op in enumerate(ops))
+            for rest in itertools.product(*pools[1:])
+        ]
+        for row in pools[0]
+    ]
+
+
+def kernel_chunks(ops, pools):
+    sizes = tuple(op.size for op in ops)
+    return [list(chunk) for chunk in relation_mod._images([op.table for op in ops], sizes, pools)]
+
+
+def random_rows(rng, sizes, count):
+    return [tuple(rng.randrange(s) for s in sizes) for _ in range(count)]
+
+
+class TestImages:
+    """relation._images against naive_images, chunk by chunk: the chunk
+    order decides where generated_subpower stops on its bound."""
+
+    def test_random_tables_of_every_arity_over_mixed_sizes(self):
+        rng = random.Random(41)
+        for _ in range(60):
+            m = rng.randint(1, 4)
+            sizes = tuple(rng.choice((1, 2, 3, 4)) for _ in range(rng.randint(1, 3)))
+            ops = [
+                OperationTable(m, s, tuple(rng.randrange(s) for _ in range(s**m)))
+                for s in sizes
+            ]
+            # unequal pools, each row value repeated across rows
+            pools = [random_rows(rng, sizes, rng.randint(1, 5)) for _ in range(m)]
+            assert kernel_chunks(ops, pools) == naive_images(ops, pools)
+
+    def test_product_and_restricted_coordinates(self):
+        rng = random.Random(42)
+        a3 = gen_cd3_algebra(GeneratorConfig(seed=4, domain_size=3))
+        prod = product_algebra(a3, switch_algebra(2))
+        sub, _ = restrict(prod, (0, 2, 4))
+        algs = (prod, sub, a3)
+        sizes = tuple(a.size for a in algs)
+        for name in prod.op_names():
+            ops = [a.op(name) for a in algs]
+            m = ops[0].arity
+            for _ in range(10):
+                pools = [random_rows(rng, sizes, rng.randint(1, 7)) for _ in range(m)]
+                assert kernel_chunks(ops, pools) == naive_images(ops, pools)
+
+    def test_empty_pools(self):
+        rng = random.Random(43)
+        ops = [
+            OperationTable(3, s, tuple(rng.randrange(s) for _ in range(s**3))) for s in (2, 3)
+        ]
+        rows = random_rows(rng, (2, 3), 4)
+        for pools in ([[], rows, rows], [rows, rows, []], [rows, [], rows]):
+            assert kernel_chunks(ops, pools) == naive_images(ops, pools) == []
 
 
 class TestConstraintNormalization:

@@ -48,7 +48,15 @@ from cd3csp import (
 )
 from cd3csp.lemmas import _pool_simple_trivial
 
-from tests.conftest import EQ2, FULL2, NEQ2, brute_solutions, mk_instance, planted_instance
+from tests.conftest import (
+    EQ2,
+    FULL2,
+    NEQ2,
+    assert_canonical,
+    brute_solutions,
+    mk_instance,
+    planted_instance,
+)
 
 IMPL = ((0, 0), (0, 1), (1, 1))
 SWAP = NEQ2
@@ -324,6 +332,8 @@ class TestReduceToIdeal:
                 continue
             ideal = some_proper_ideal(doms[coord])
             red = build_lambda_J(mi.system, coord, ideal, doms[coord])
+            for rel in red.lamj.values():
+                assert_canonical(rel)
             constraints = []
             for c in effective_instance(mi).constraints:
                 if len(c.scope) < red.level:
@@ -334,6 +344,7 @@ class TestReduceToIdeal:
                 else:
                     algs = tuple(doms[v] for v in c.scope)
                     rel = reduce_constraint_RJ(c.rel, c.scope, red, algs)
+                assert_canonical(rel)
                 constraints.append(Constraint(c.scope, rel))
             assert_same_result(
                 reduce_to_ideal(mi, coord, ideal), reminimalized(mi, constraints)
@@ -582,13 +593,17 @@ def without_sole_witness(rel, size):
 
 def assert_holds_level_sets(mi):
     """mi stores exactly its level sets, and entry() on every smaller set
-    is the projection of each level entry containing it."""
+    is the projection of each level entry containing it; every stored,
+    derived and wide relation is canonical."""
     system = mi.system
     n, level = system.nvars, system.level
     assert set(system.entries) == set(itertools.combinations(range(n), level))
+    for rel in [*system.entries.values(), *(c.rel for c in mi.base.constraints)]:
+        assert_canonical(rel)
     for r in range(1, level):
         for I in itertools.combinations(range(n), r):
             got = system.entry(I)
+            assert_canonical(got)
             for J, rel in system.entries.items():
                 if set(I) <= set(J):
                     assert got == project(rel, [J.index(v) for v in I]), (I, J)
@@ -628,13 +643,16 @@ class TestLevelEntriesOnly:
     def test_make_subdirect_on_every_draw(self):
         # whether or not a domain shrinks
         rng = random.Random(113)
-        done = 0
+        done = shrank = 0
         while done < 8:
             mi = k_minimalize(rand_instance(rng), 3)
             if mi.empty_flag:
                 continue
-            assert_holds_level_sets(make_subdirect(mi)[0])
+            out, maps = make_subdirect(mi)
+            assert_holds_level_sets(out)
+            shrank += any(len(m) < a.size for m, a in zip(maps, mi.base.sig.domains))
             done += 1
+        assert shrank
 
 
 class TestChoices:
